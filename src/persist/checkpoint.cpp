@@ -9,8 +9,15 @@
 #include <cstring>
 #include <fstream>
 #include <sstream>
+#include <string_view>
 
 namespace stemcp::persist {
+
+namespace {
+
+constexpr std::string_view kUserValues = "# stemcp-user-values ";
+
+}  // namespace
 
 bool atomic_write_file(const std::string& path, const std::string& contents,
                        std::string* error) {
@@ -96,6 +103,9 @@ std::string encode_checkpoint_header(const CheckpointMeta& meta) {
       << " options";
   if (!meta.options.empty()) out << ' ' << meta.options;
   out << '\n';
+  if (!meta.user_values.empty()) {
+    out << kUserValues << meta.user_values << '\n';
+  }
   return out.str();
 }
 
@@ -115,6 +125,12 @@ bool parse_checkpoint_header(const std::string& text, CheckpointMeta* out) {
   std::getline(in, opts);
   if (!opts.empty() && opts.front() == ' ') opts.erase(0, 1);
   out->options = opts;
+  const std::size_t second = nl == std::string::npos ? nl : nl + 1;
+  if (second != std::string::npos &&
+      text.compare(second, kUserValues.size(), kUserValues) == 0) {
+    const std::size_t at = second + kUserValues.size();
+    out->user_values = text.substr(at, text.find('\n', at) - at);
+  }
   return true;
 }
 

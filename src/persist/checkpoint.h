@@ -1,9 +1,10 @@
 // Durability layer, part 2: atomic files and checkpoints.
 //
 // A checkpoint is an ordinary library file (LibraryWriter output) preceded
-// by one comment line:
+// by one or two comment lines:
 //
 //   # stemcp-checkpoint seq <N> session <name> options [<opt>...]
+//   # stemcp-user-values <batch-assign request line>
 //
 // Because '#' lines are comments to LibraryReader, a checkpoint file is
 // directly loadable as a library AND self-describing to recovery: <N> is
@@ -11,7 +12,9 @@
 // contains (replay skips records with seq <= N — which also makes a crash
 // BETWEEN checkpoint-rename and journal-truncate harmless), <name> the
 // session it snapshots, and the options the flags the session was opened
-// with ("metrics" / "trace").
+// with ("metrics" / "trace") followed by "fsync <journal options>".  The
+// optional second line re-asserts the session's #USER values, which the
+// library text does not carry; recovery runs it right after the load.
 //
 // Every file written here goes through atomic_write_file: write the full
 // contents to "<path>.tmp", fsync, then rename(2) over the target.  A crash
@@ -47,13 +50,15 @@ struct CheckpointMeta {
   std::uint64_t seq = 0;    ///< last journal seq folded into the snapshot
   std::string session;      ///< session name the snapshot belongs to
   std::string options;      ///< open options, space separated (may be empty)
+  std::string user_values;  ///< batch-assign request line (may be empty)
 };
 
-/// Render the "# stemcp-checkpoint ..." header line (newline included).
+/// Render the "# stemcp-checkpoint ..." header line, and the user-values
+/// line when there is one (newlines included).
 std::string encode_checkpoint_header(const CheckpointMeta& meta);
 
-/// Parse the header out of checkpoint file `text`.  Returns false when the
-/// first line is not a checkpoint header.
+/// Parse the header (and user-values) lines out of checkpoint file `text`.
+/// Returns false when the first line is not a checkpoint header.
 bool parse_checkpoint_header(const std::string& text, CheckpointMeta* out);
 
 /// Atomically write checkpoint file: header + `library_text`.

@@ -6,65 +6,25 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <array>
 #include <cerrno>
+#include <charconv>
 #include <chrono>
+#include <climits>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <iomanip>
+#include <iterator>
 #include <sstream>
 
 #include "core/trace.h"
-#include "persist/io_backend.h"
 
 namespace stemcp::persist {
 
 namespace {
 
 constexpr std::uint64_t kNoLimit = ~0ull;
-
-/// Escape so any payload fits one space-delimited, single-line field run.
-std::string escape_text(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    if (c == '\\') {
-      out += "\\\\";
-    } else if (c == '\n') {
-      out += "\\n";
-    } else {
-      out += c;
-    }
-  }
-  return out;
-}
-
-std::string unescape_text(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (std::size_t i = 0; i < s.size(); ++i) {
-    if (s[i] == '\\' && i + 1 < s.size()) {
-      ++i;
-      out.push_back(s[i] == 'n' ? '\n' : s[i]);
-    } else {
-      out.push_back(s[i]);
-    }
-  }
-  return out;
-}
-
-std::array<std::uint32_t, 256> make_crc_table() {
-  std::array<std::uint32_t, 256> t{};
-  for (std::uint32_t i = 0; i < 256; ++i) {
-    std::uint32_t c = i;
-    for (int k = 0; k < 8; ++k) {
-      c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-    }
-    t[i] = c;
-  }
-  return t;
-}
+constexpr std::string_view kTag = "J2";
 
 /// fsync the directory containing `path` so a rename within it is durable.
 bool sync_parent_dir(const std::string& path) {
@@ -77,16 +37,24 @@ bool sync_parent_dir(const std::string& path) {
   return ok;
 }
 
-}  // namespace
-
-std::uint32_t crc32(std::string_view data) {
-  static const std::array<std::uint32_t, 256> table = make_crc_table();
-  std::uint32_t c = 0xFFFFFFFFu;
-  for (const char ch : data) {
-    c = table[(c ^ static_cast<unsigned char>(ch)) & 0xFFu] ^ (c >> 8);
+/// <seq> <ok|violation> <applied> <restored> <request-line>
+bool decode_body(std::string_view body, JournalRecord* out,
+                 std::string* error) {
+  std::string_view outcome;
+  if (!take_u64(&body, &out->seq) || !take_word(&body, &outcome) ||
+      (outcome != "ok" && outcome != "violation") ||
+      !take_u64(&body, &out->applied) || !take_u64(&body, &out->restored) ||
+      body.empty()) {
+    *error = "bad record fields (want <seq> <ok|violation> <applied> "
+             "<restored> <request-line>)";
+    return false;
   }
-  return c ^ 0xFFFFFFFFu;
+  out->violation = outcome == "violation";
+  out->line.assign(body);
+  return true;
 }
+
+}  // namespace
 
 const char* to_string(FsyncPolicy p) {
   switch (p) {
@@ -113,85 +81,89 @@ bool fsync_policy_from(const std::string& s, FsyncPolicy* out) {
   return true;
 }
 
-std::string encode_record(const JournalRecord& r) {
-  std::ostringstream body;
-  body << r.seq << ' ' << r.op << ' ' << r.session << ' ' << r.justification
-       << ' ' << (r.violation ? "violation" : "ok") << ' ' << r.applied << ' '
-       << r.restored << ' ' << r.assignments.size();
-  body << std::setprecision(17);
-  for (const auto& [var, value] : r.assignments) {
-    body << ' ' << var << ' ' << value;
+bool journal_options_from(const std::string& text, Journal::Options* out,
+                          std::string* error) {
+  std::istringstream in(text);
+  const std::vector<std::string> words{std::istream_iterator<std::string>(in),
+                                       std::istream_iterator<std::string>()};
+  const auto is_knob = [](const std::string& w) {
+    return w == "batch" || w == "delay-us" || w == "segment";
+  };
+  const auto count = [](const std::string& w, std::uint64_t* n) {
+    const char* end = w.data() + w.size();
+    const auto [p, ec] = std::from_chars(w.data(), end, *n);
+    return ec == std::errc() && p == end;
+  };
+  std::size_t i = 0;
+  std::uint64_t n = 0;
+  if (i < words.size() && !is_knob(words[i])) {
+    if (!fsync_policy_from(words[i], &out->fsync)) {
+      *error = "unknown fsync policy '" + words[i] +
+               "' (every-record|interval|none|group-commit)";
+      return false;
+    }
+    ++i;
+    if (out->fsync == FsyncPolicy::kInterval && i < words.size() &&
+        count(words[i], &n) && n > 0 && n <= UINT32_MAX) {
+      out->fsync_interval_records = static_cast<std::uint32_t>(n);
+      ++i;
+    }
   }
-  if (!r.text.empty()) body << " text " << escape_text(r.text);
-  const std::string b = body.str();
-  std::ostringstream line;
-  line << "J1 " << std::hex << std::setw(8) << std::setfill('0') << crc32(b)
-       << ' ' << b << '\n';
-  return line.str();
+  for (; i < words.size(); i += 2) {
+    const std::string& w = words[i];
+    if (!is_knob(w)) {
+      *error = "unknown journal option '" + w +
+               "' (batch <n>|delay-us <n>|segment <bytes>)";
+      return false;
+    }
+    if (i + 1 == words.size() || !count(words[i + 1], &n) ||
+        (n == 0 && w != "delay-us") || (w != "segment" && n > UINT32_MAX)) {
+      *error = "journal option '" + w + "' needs a number in range";
+      return false;
+    }
+    if (w == "batch") {
+      out->group_max_batch_records = static_cast<std::uint32_t>(n);
+    } else if (w == "delay-us") {
+      out->group_max_delay_us = static_cast<std::uint32_t>(n);
+    } else {
+      out->segment_bytes = n;
+    }
+  }
+  return true;
+}
+
+std::string to_string(const Journal::Options& o) {
+  std::string out = to_string(o.fsync);
+  if (o.fsync == FsyncPolicy::kInterval) {
+    out += ' ' + std::to_string(o.fsync_interval_records);
+  }
+  if (o.fsync == FsyncPolicy::kGroupCommit) {
+    out += " batch " + std::to_string(o.group_max_batch_records) +
+           " delay-us " + std::to_string(o.group_max_delay_us);
+  }
+  if (o.segment_bytes > 0) out += " segment " + std::to_string(o.segment_bytes);
+  return out;
+}
+
+std::string encode_record(const JournalRecord& r) {
+  char fields[96];
+  const int n = std::snprintf(
+      fields, sizeof fields, "%llu %s %llu %llu",
+      static_cast<unsigned long long>(r.seq), r.violation ? "violation" : "ok",
+      static_cast<unsigned long long>(r.applied),
+      static_cast<unsigned long long>(r.restored));
+  std::string out;
+  append_framed(kTag, std::string_view(fields, static_cast<std::size_t>(n)),
+                r.line, &out);
+  return out;
 }
 
 bool decode_record(std::string_view line, JournalRecord* out,
                    std::string* error) {
   *out = JournalRecord{};
-  std::istringstream in{std::string(line)};
-  std::string magic, crc_hex;
-  if (!(in >> magic >> crc_hex) || magic != "J1" || crc_hex.size() != 8) {
-    *error = "bad record framing";
-    return false;
-  }
-  // The body is everything after "J1 <crc8> ".
-  const std::size_t body_at = 3 + 8 + 1;
-  if (line.size() < body_at) {
-    *error = "bad record framing";
-    return false;
-  }
-  const std::string_view body = line.substr(body_at);
-  std::uint32_t want = 0;
-  try {
-    want = static_cast<std::uint32_t>(std::stoul(crc_hex, nullptr, 16));
-  } catch (...) {
-    *error = "bad record checksum field";
-    return false;
-  }
-  if (crc32(body) != want) {
-    *error = "record checksum mismatch";
-    return false;
-  }
-  std::istringstream bs{std::string(body)};
-  std::string outcome;
-  std::size_t n_assign = 0;
-  if (!(bs >> out->seq >> out->op >> out->session >> out->justification >>
-        outcome >> out->applied >> out->restored >> n_assign)) {
-    *error = "truncated record body";
-    return false;
-  }
-  if (outcome != "ok" && outcome != "violation") {
-    *error = "bad outcome '" + outcome + "'";
-    return false;
-  }
-  out->violation = outcome == "violation";
-  out->assignments.reserve(n_assign);
-  for (std::size_t i = 0; i < n_assign; ++i) {
-    std::string var;
-    double value = 0.0;
-    if (!(bs >> var >> value)) {
-      *error = "truncated assignment list";
-      return false;
-    }
-    out->assignments.emplace_back(std::move(var), value);
-  }
-  std::string kw;
-  if (bs >> kw) {
-    if (kw != "text") {
-      *error = "unexpected trailing field '" + kw + "'";
-      return false;
-    }
-    std::string rest;
-    std::getline(bs, rest);
-    if (!rest.empty() && rest.front() == ' ') rest.erase(0, 1);
-    out->text = unescape_text(rest);
-  }
-  return true;
+  std::string_view body;
+  return decode_framed(line, kTag, &body, error) &&
+         decode_body(body, out, error);
 }
 
 // ---------------------------------------------------------------------------
@@ -215,7 +187,6 @@ Journal::Journal(std::string path, int fd, Options opts)
     : path_(std::move(path)),
       fd_(fd),
       opts_(opts),
-      io_(make_io_backend()),
       next_seq_(opts.next_seq) {}
 
 std::unique_ptr<Journal> Journal::open(const std::string& path, Options opts,
@@ -302,8 +273,6 @@ void Journal::set_metrics(core::MetricsRegistry* metrics) {
   opts_.metrics = metrics;
 }
 
-const char* Journal::io_backend_name() const { return io_->name(); }
-
 bool Journal::do_fsync(std::uint64_t* ns_out) {
   const std::uint64_t budget =
       fail_fsync_after_.load(std::memory_order_relaxed);
@@ -315,7 +284,7 @@ bool Journal::do_fsync(std::uint64_t* ns_out) {
   // request-telemetry span reads the duration even when the session's own
   // metrics registry is disabled.
   const std::uint64_t t0 = core::Tracer::now_ns();
-  if (!io_->flush(fd_)) return false;
+  if (::fsync(fd_) != 0) return false;
   if (ns_out != nullptr) *ns_out = core::Tracer::now_ns() - t0;
   fsync_count_.fetch_add(1, std::memory_order_relaxed);
   return true;
@@ -339,17 +308,48 @@ bool Journal::maybe_roll_segment() {
   return true;
 }
 
-bool Journal::write_cut(const char* data, std::size_t len) {
-  std::size_t done = 0;
-  while (done < len) {
-    const ssize_t n = ::write(fd_, data + done, len - done);
+// The one write path: a writev loop that puts every byte of `iov` (whole
+// lines) at the append position.  An injected byte budget cuts the write
+// short — leaving exactly the torn tail a crash mid-write leaves, made
+// durable like a crash would — and then fails it.
+bool Journal::write_lines(struct iovec* iov, std::size_t count) {
+  std::size_t total = 0;
+  for (std::size_t i = 0; i < count; ++i) total += iov[i].iov_len;
+  const std::uint64_t budget = fail_after_.load(std::memory_order_relaxed);
+  const std::size_t want =
+      budget < total ? static_cast<std::size_t>(budget) : total;
+  std::size_t left = want;
+  std::size_t n_iov = 0;
+  for (; n_iov < count && left > 0; ++n_iov) {
+    iov[n_iov].iov_len = std::min(left, iov[n_iov].iov_len);
+    left -= iov[n_iov].iov_len;
+  }
+  for (std::size_t done = 0; done < want;) {
+    // One call takes at most IOV_MAX buffers; the rest go round again.
+    const ssize_t n = ::writev(
+        fd_, iov, static_cast<int>(std::min<std::size_t>(n_iov, IOV_MAX)));
     if (n < 0) {
       if (errno == EINTR) continue;
       return false;
     }
     done += static_cast<std::size_t>(n);
+    // Short write: skip what landed and go again.
+    std::size_t landed = static_cast<std::size_t>(n);
+    for (; n_iov > 0 && landed >= iov->iov_len; ++iov, --n_iov) {
+      landed -= iov->iov_len;
+    }
+    if (n_iov > 0) {
+      iov->iov_base = static_cast<char*>(iov->iov_base) + landed;
+      iov->iov_len -= landed;
+    }
   }
-  return true;
+  bytes_written_.fetch_add(want, std::memory_order_relaxed);
+  active_bytes_.fetch_add(want, std::memory_order_relaxed);
+  if (budget == kNoLimit) return true;
+  fail_after_.store(budget - want, std::memory_order_relaxed);
+  if (want == total) return true;
+  do_fsync(nullptr);  // the sync cannot un-tear the write; dead either way
+  return false;
 }
 
 // The classic synchronous append (every-record / interval / none).
@@ -360,33 +360,12 @@ bool Journal::append_sync(JournalRecord& record) {
     return false;
   }
   record.seq = next_seq_.load(std::memory_order_relaxed);
-  const std::string line = encode_record(record);
-  std::size_t want = line.size();
-  const std::uint64_t budget = fail_after_.load(std::memory_order_relaxed);
-  if (budget != kNoLimit && budget < want) {
-    // Injected crash: the device accepts only the head of this write, then
-    // the journal goes dead — leaving exactly the torn tail a real crash
-    // mid-write leaves.
-    want = static_cast<std::size_t>(budget);
-  }
-  if (!write_cut(line.data(), want)) {
-    dead_.store(true, std::memory_order_release);
+  std::string line = encode_record(record);
+  struct iovec iov {line.data(), line.size()};
+  if (line.empty() || !write_lines(&iov, 1)) {
+    if (!line.empty()) dead_.store(true, std::memory_order_release);
     append_failures_.fetch_add(1, std::memory_order_relaxed);
     return false;
-  }
-  bytes_written_.fetch_add(want, std::memory_order_relaxed);
-  active_bytes_.fetch_add(want, std::memory_order_relaxed);
-  if (budget != kNoLimit) {
-    fail_after_.store(budget - want, std::memory_order_relaxed);
-    if (want < line.size()) {
-      // Make the torn tail itself durable, like a crash would.  The sync
-      // result cannot un-tear the record; a failure just dead-latches the
-      // journal we are already latching.
-      if (!do_fsync(nullptr)) dead_.store(true, std::memory_order_release);
-      dead_.store(true, std::memory_order_release);
-      append_failures_.fetch_add(1, std::memory_order_relaxed);
-      return false;
-    }
   }
   next_seq_.fetch_add(1, std::memory_order_relaxed);
   records_written_.fetch_add(1, std::memory_order_relaxed);
@@ -395,7 +374,7 @@ bool Journal::append_sync(JournalRecord& record) {
   core::MetricsRegistry* m = opts_.metrics;
   const bool observe = m != nullptr && m->enabled();
   if (observe) {
-    m->add_counter("journal.bytes", want);
+    m->add_counter("journal.bytes", line.size());
     m->add_counter("journal.records");
   }
   const bool want_sync =
@@ -454,9 +433,16 @@ CommitTicket Journal::append_async(JournalRecord& record) {
       state->done = true;  // already-failed ticket; fault was reported once
       return t;
     }
-    record.seq = next_seq_.fetch_add(1, std::memory_order_relaxed);
+    record.seq = next_seq_.load(std::memory_order_relaxed);
+    std::string line = encode_record(record);
+    if (line.empty()) {  // not one request line: refused, journal unharmed
+      append_failures_.fetch_add(1, std::memory_order_relaxed);
+      state->done = true;
+      return t;
+    }
+    next_seq_.fetch_add(1, std::memory_order_relaxed);
     t.seq_ = record.seq;
-    gc_queue_.push_back(PendingRecord{encode_record(record), state});
+    gc_queue_.push_back(PendingRecord{std::move(line), state});
   }
   gc_cv_.notify_all();
   return t;
@@ -496,40 +482,19 @@ void Journal::drain_pending_metrics_locked() {
 
 bool Journal::flush_batch(std::vector<PendingRecord>& batch,
                           std::uint64_t* fsync_ns, std::uint64_t* bytes_out) {
-  std::size_t total = 0;
-  for (const PendingRecord& p : batch) total += p.line.size();
-  std::size_t want = total;
-  const std::uint64_t budget = fail_after_.load(std::memory_order_relaxed);
-  const bool torn = budget != kNoLimit && budget < total;
-  if (torn) want = static_cast<std::size_t>(budget);
-
-  // One vectored write for the whole batch (clamped for an injected cut).
+  // One vectored write for the whole batch, then one fsync.
   std::vector<struct iovec> iov;
   iov.reserve(batch.size());
-  std::size_t left = want;
-  for (const PendingRecord& p : batch) {
-    if (left == 0) break;
-    const std::size_t n = std::min(left, p.line.size());
-    iov.push_back({const_cast<char*>(p.line.data()), n});
-    left -= n;
+  std::size_t total = 0;
+  for (PendingRecord& p : batch) {
+    iov.push_back({p.line.data(), p.line.size()});
+    total += p.line.size();
   }
-  if (!iov.empty() &&
-      !io_->write_all(fd_, iov.data(), static_cast<int>(iov.size()), want)) {
+  if (!write_lines(iov.data(), iov.size()) || !do_fsync(fsync_ns)) {
     return false;
   }
-  bytes_written_.fetch_add(want, std::memory_order_relaxed);
-  active_bytes_.fetch_add(want, std::memory_order_relaxed);
-  if (budget != kNoLimit) {
-    fail_after_.store(budget - want, std::memory_order_relaxed);
-  }
-  if (torn) {
-    // Persist the torn tail like a crash would; failing is dead either way.
-    do_fsync(nullptr);
-    return false;
-  }
-  if (!do_fsync(fsync_ns)) return false;
   records_written_.fetch_add(batch.size(), std::memory_order_relaxed);
-  *bytes_out = want;
+  *bytes_out = total;
   if (!maybe_roll_segment()) {
     // This batch IS durable; only the roll failed.  Latch after reporting
     // success so the tickets complete ok and the NEXT append fails.
@@ -671,38 +636,26 @@ bool Journal::truncate_all(std::uint64_t seq) {
 // Scanning
 
 JournalScan scan_journal(const std::string& path) {
-  JournalScan scan;
   std::ifstream in(path, std::ios::binary);
-  if (!in.good()) return scan;  // absent file == empty journal
-  std::string contents((std::istreambuf_iterator<char>(in)),
-                       std::istreambuf_iterator<char>());
-  std::size_t pos = 0;
-  while (pos < contents.size()) {
-    const std::size_t nl = contents.find('\n', pos);
-    if (nl == std::string::npos) {
-      // Unterminated final line: the classic torn tail.
-      scan.torn_tail = true;
-      break;
-    }
-    const std::string_view line(contents.data() + pos, nl - pos);
-    JournalRecord rec;
-    std::string error;
-    if (!decode_record(line, &rec, &error)) {
-      // A bad record is only tolerable as the very last line — a torn write
-      // that happened to end in '\n'.  Valid data after it means the middle
-      // of the log is corrupt, which replay must refuse.
-      if (contents.find('\n', nl + 1) != std::string::npos) {
-        scan.error = "journal corrupt at byte " + std::to_string(pos) + ": " +
-                     error;
-        return scan;
-      }
-      scan.torn_tail = true;
-      break;
-    }
-    scan.records.push_back(std::move(rec));
-    pos = nl + 1;
-    scan.valid_bytes = pos;
-  }
+  if (!in.good()) return JournalScan{};  // absent file == empty journal
+  const std::string contents((std::istreambuf_iterator<char>(in)),
+                             std::istreambuf_iterator<char>());
+  return scan_journal_text(contents);
+}
+
+JournalScan scan_journal_text(std::string_view contents) {
+  JournalScan scan;
+  const FramedScan framed = scan_framed(
+      contents, kTag, "journal",
+      [&scan](std::string_view body, std::string* error) {
+        JournalRecord rec;
+        if (!decode_body(body, &rec, error)) return false;
+        scan.records.push_back(std::move(rec));
+        return true;
+      });
+  scan.valid_bytes = framed.valid_bytes;
+  scan.torn_tail = framed.torn_tail;
+  scan.error = framed.error;
   return scan;
 }
 
@@ -766,52 +719,36 @@ JournalScan scan_journal_segments(const std::string& path,
     }
     for (std::thread& w : workers) w.join();
   }
+  // Merge in order, the active file last: only it may tear (a sealed segment
+  // was fsynced whole before its rename), and seqs must climb throughout.
+  sealed.push_back(scan_journal(path));
   JournalScan merged;
-  std::uint64_t prev_seq = 0;
-  bool have_prev = false;
   for (std::size_t i = 0; i < sealed.size(); ++i) {
     JournalScan& s = sealed[i];
-    const std::string seg = journal_segment_path(path, segs[i]);
+    const bool active = i == segs.size();
+    const std::string name =
+        active ? "active journal '" + path + "'"
+               : "sealed segment '" + journal_segment_path(path, segs[i]) + "'";
     if (!s.ok()) {
-      merged.error = "sealed segment '" + seg + "': " + s.error;
+      merged.error = name + ": " + s.error;
       return merged;
     }
-    if (s.torn_tail) {
-      // Only the newest (active) file may tear — a sealed segment was
-      // fsynced whole before its rename.
-      merged.error = "sealed segment '" + seg + "' has a torn tail";
+    if (s.torn_tail && !active) {
+      merged.error = name + " has a torn tail";
       return merged;
     }
     for (JournalRecord& r : s.records) {
-      if (have_prev && r.seq <= prev_seq) {
-        merged.error = "sealed segment '" + seg + "': seq " +
-                       std::to_string(r.seq) + " does not continue " +
-                       std::to_string(prev_seq);
+      if (!merged.records.empty() && r.seq <= merged.records.back().seq) {
+        merged.error = name + ": seq " + std::to_string(r.seq) +
+                       " does not continue " +
+                       std::to_string(merged.records.back().seq);
         return merged;
       }
-      prev_seq = r.seq;
-      have_prev = true;
       merged.records.push_back(std::move(r));
     }
   }
-  JournalScan active = scan_journal(path);
-  if (!active.ok()) {
-    merged.error = active.error;
-    return merged;
-  }
-  for (JournalRecord& r : active.records) {
-    if (have_prev && r.seq <= prev_seq) {
-      merged.error = "active journal '" + path + "': seq " +
-                     std::to_string(r.seq) + " does not continue " +
-                     std::to_string(prev_seq);
-      return merged;
-    }
-    prev_seq = r.seq;
-    have_prev = true;
-    merged.records.push_back(std::move(r));
-  }
-  merged.valid_bytes = active.valid_bytes;
-  merged.torn_tail = active.torn_tail;
+  merged.valid_bytes = sealed.back().valid_bytes;
+  merged.torn_tail = sealed.back().torn_tail;
   return merged;
 }
 

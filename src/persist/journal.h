@@ -10,19 +10,16 @@
 // rebuild a session, replay the requests through the real engine and every
 // derived value, violation and restore re-derives identically.
 //
-// File format: one record per line,
+// File format: one framed line per record (persist/framed.h),
 //
-//   J1 <crc32-hex8> <body>
-//   body := <seq> <op> <session> <justification>
-//           <ok|violation> <applied> <restored>
-//           <n-assignments> [<var> <value>]... [text <escaped-rest-of-line>]
+//   J2 <crc32-hex8> <seq> <ok|violation> <applied> <restored> <request-line>
 //
-// The CRC covers exactly <body>.  `text` payloads (library text, edit
-// commands, open options) escape backslash and newline ("\\", "\n") so a
-// record is always a single line.  A record is valid iff it is newline-
-// terminated and its CRC matches; scanning tolerates a torn FINAL record
-// (the write was cut mid-line — the crash case) but treats a bad CRC with
-// valid records after it as corruption.
+// <request-line> is the executed request as ServiceFrontEnd::render wrote
+// it, so a journal is a replayable request log: recovery parses every line
+// with ServiceFrontEnd::parse and runs it through the same dispatch as live
+// traffic.  The seq and the recorded outcome let replay verify that the
+// engine re-derives what the original execution observed.  The rendered
+// `open`/`close` requests mark attach and clean shutdown.
 //
 // Sync policy: kEveryRecord fsyncs after each append (durability boundary =
 // append returning true), kInterval fsyncs every N records, kNone leaves
@@ -52,6 +49,8 @@
 // script can demo group-commit crash recovery without recompiling.
 #pragma once
 
+#include <sys/uio.h>
+
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
@@ -64,13 +63,13 @@
 #include <utility>
 #include <vector>
 
+#include "persist/framed.h"
+
 namespace stemcp::core {
 class MetricsRegistry;
 }
 
 namespace stemcp::persist {
-
-class IoBackend;
 
 enum class FsyncPolicy : std::uint8_t {
   kEveryRecord,  ///< fsync after every append (full durability)
@@ -84,18 +83,10 @@ const char* to_string(FsyncPolicy p);
 /// unknown text.
 bool fsync_policy_from(const std::string& s, FsyncPolicy* out);
 
-/// One journaled operation: what the service executed and how it came out.
-/// `op` mirrors the mutating request verbs (open / load / assign /
-/// batch-assign / edit / close); `justification` tags whose authority the
-/// assignments carried (always "#USER" today — the field exists so replay
-/// diagnostics and future application-sourced records stay self-describing).
+/// One journaled request: its rendered protocol line and how it came out.
 struct JournalRecord {
   std::uint64_t seq = 0;
-  std::string op;
-  std::string session;
-  std::string justification = "#USER";
-  std::string text;  ///< op payload: library text, edit command, open options
-  std::vector<std::pair<std::string, double>> assignments;
+  std::string line;  ///< ServiceFrontEnd::render text, no trailing newline
 
   // Outcome, for replay verification (a replayed record must re-derive the
   // same violation/restore behaviour).
@@ -106,13 +97,11 @@ struct JournalRecord {
   bool operator==(const JournalRecord&) const = default;
 };
 
-/// CRC-32 (IEEE, reflected) over `data` — the per-record checksum.
-std::uint32_t crc32(std::string_view data);
-
-/// Serialize one record as its single journal line (newline included).
+/// Serialize one record as its J2 line (newline included); empty when the
+/// record's line is empty or holds a newline.
 std::string encode_record(const JournalRecord& r);
-/// Parse one journal line (without the trailing newline).  Returns false
-/// with `error` set on framing or checksum mismatch.
+/// Parse one J2 line (without the trailing newline).  Returns false with
+/// `error` set on a framing, checksum or field error.
 bool decode_record(std::string_view line, JournalRecord* out,
                    std::string* error);
 
@@ -238,9 +227,8 @@ class Journal {
 
   bool dead() const { return dead_.load(std::memory_order_acquire); }
   const std::string& path() const { return path_; }
-  FsyncPolicy policy() const { return opts_.fsync; }
-  /// Name of the I/O backend in use ("pwrite" / "io_uring").
-  const char* io_backend_name() const;
+  /// The options the journal was opened with (zero cadences raised to 1).
+  const Options& options() const { return opts_; }
   /// Nanoseconds the most recent append() spent inside fsync (0 when that
   /// append did not sync, per policy).  The request-telemetry layer reads
   /// this to split a request's journal phase into append vs. flush time;
@@ -280,7 +268,7 @@ class Journal {
   void flusher_loop();
   bool flush_batch(std::vector<PendingRecord>& batch, std::uint64_t* fsync_ns,
                    std::uint64_t* bytes_out);
-  bool write_cut(const char* data, std::size_t len);  ///< torn-write helper
+  bool write_lines(struct iovec* iov, std::size_t count);  ///< the write path
   bool do_fsync(std::uint64_t* ns_out);
   bool maybe_roll_segment();
   void fail_queue_locked();
@@ -291,7 +279,6 @@ class Journal {
   std::string path_;
   int fd_ = -1;  ///< active segment; swapped only on the write thread
   Options opts_;
-  std::unique_ptr<IoBackend> io_;
 
   std::atomic<bool> dead_{false};
   std::atomic<std::uint64_t> next_seq_{1};
@@ -327,6 +314,20 @@ class Journal {
   std::thread flusher_;  ///< started by open() under kGroupCommit
 };
 
+/// Parse the journal-options grammar
+///
+///   [every-record|interval [n]|none|group-commit] [batch n] [delay-us n]
+///   [segment n]
+///
+/// into the sync and segment fields of `*out` (the other fields keep their
+/// values).  False with `*error` set on an unknown policy or option word or
+/// a missing number.
+bool journal_options_from(const std::string& text, Journal::Options* out,
+                          std::string* error);
+/// Render those fields back into the grammar: the policy, then the knobs
+/// that apply to it ("group-commit batch 8 delay-us 100 segment 4096").
+std::string to_string(const Journal::Options& o);
+
 /// Result of scanning a journal file (or a whole segmented journal) front
 /// to back.
 struct JournalScan {
@@ -339,10 +340,12 @@ struct JournalScan {
   bool ok() const { return error.empty(); }
 };
 
-/// Read every valid record of `path` (a missing file scans as empty).
-/// Tolerates a torn final record; a checksum mismatch with valid records
-/// after it is reported through `error`.
+/// Read every valid record of `path` (a missing file scans as empty) under
+/// the framed-line rules: a torn final record is dropped, corruption before
+/// it is reported through `error` with its byte offset.
 JournalScan scan_journal(const std::string& path);
+/// The same over contents already in memory.
+JournalScan scan_journal_text(std::string_view contents);
 
 /// Sealed-segment path: `<path>.<n>` (n >= 1).
 std::string journal_segment_path(const std::string& path, std::uint64_t n);

@@ -11,6 +11,7 @@
 #include "fd/selection.h"
 #include "persist/checkpoint.h"
 #include "persist/recovery.h"
+#include "service/protocol.h"
 #include "stem/cell.h"
 #include "stem/editor.h"
 #include "stem/io.h"
@@ -578,10 +579,10 @@ void do_query(DesignSession& s, const Request& r, Response& resp) {
           << " slot(s) committed\n";
     }
     if (const persist::Journal* j = s.journal()) {
-      out << "journal: base " << s.journal_config().base << " fsync "
-          << persist::to_string(j->policy()) << " records "
+      out << "journal: base " << s.journal_base() << " fsync "
+          << persist::to_string(j->options().fsync) << " records "
           << j->records_written() << " bytes " << j->bytes_written()
-          << " fsyncs " << j->fsyncs() << " io " << j->io_backend_name();
+          << " fsyncs " << j->fsyncs();
       if (j->sealed_segments() > 0) {
         out << " segments " << j->sealed_segments();
       }
@@ -628,40 +629,41 @@ struct ShardIo {
   }
 };
 
-/// Checkpoint header options: the open options plus the fsync policy, so
-/// recovery reopens the session AND its journal exactly as configured.
-std::string durable_options(DesignSession& s) {
-  std::ostringstream out;
-  out << s.open_options();
-  const JournalConfig& cfg = s.journal_config();
-  if (out.tellp() > 0) out << ' ';
-  out << "fsync " << persist::to_string(cfg.policy);
-  if (cfg.policy == persist::FsyncPolicy::kInterval) {
-    out << " interval " << cfg.interval_records;
-  }
-  if (cfg.policy == persist::FsyncPolicy::kGroupCommit) {
-    out << " batch " << cfg.group_batch_records << " delay-us "
-        << cfg.group_delay_us;
-  }
-  if (cfg.segment_bytes > 0) out << " segment " << cfg.segment_bytes;
-  return out.str();
+/// Render into `*line` one batch-assign re-asserting every #USER real value
+/// of the session (nothing when there are none).  The library text persists
+/// class-level characteristics only, so without it a checkpoint would forget
+/// the values designers set on instances, and reload designer-set class
+/// delays as #APPLICATION.
+bool user_values_line(DesignSession& s, std::string* line,
+                      std::string* error) {
+  Request r{RequestType::kBatchAssign, s.name(), {}, {}};
+  s.for_each_variable([&r](core::Variable& v) {
+    if (v.last_set_by().is_user() && v.value().is_real()) {
+      r.assignments.push_back({v.path(), v.value().as_number()});
+    }
+  });
+  return r.assignments.empty() || ServiceFrontEnd::render(r, line, error);
 }
 
 /// Snapshot the library into "<base>.ckpt" (atomic rename), stamped with the
 /// last journal sequence the snapshot contains, then empty the journal.  A
 /// crash between the rename and the truncate is harmless: replay skips
-/// records with seq <= the checkpoint's.
+/// records with seq <= the checkpoint's.  The header's options are the open
+/// options plus "fsync <journal options>", so recovery reopens the session
+/// AND its journal exactly as configured.
 bool checkpoint_session(DesignSession& s, std::uint64_t* seq,
                         std::string* error) {
   persist::Journal* j = s.journal();
   persist::CheckpointMeta meta;
   meta.seq = j->next_seq() - 1;
   meta.session = s.name();
-  meta.options = durable_options(s);
+  meta.options = s.open_options();
+  if (!meta.options.empty()) meta.options += ' ';
+  meta.options += "fsync " + persist::to_string(j->options());
+  if (!user_values_line(s, &meta.user_values, error)) return false;
   const std::string text = env::LibraryWriter::to_string(s.library());
-  if (!persist::write_checkpoint(
-          persist::checkpoint_path(s.journal_config().base), meta, text,
-          error)) {
+  if (!persist::write_checkpoint(persist::checkpoint_path(s.journal_base()),
+                                 meta, text, error)) {
     return false;
   }
   if (!j->truncate_all(meta.seq)) {
@@ -676,62 +678,38 @@ void do_journal(DesignSession& s, const Request& r, Response& resp,
                 const ShardIo& io) {
   if (s.journal() != nullptr) {
     resp.error = "session '" + s.name() + "' is already journaling to '" +
-                 s.journal_config().base + "'";
+                 s.journal_base() + "'";
     return;
   }
-  JournalConfig cfg;
   std::istringstream in(r.text);
-  if (!(in >> cfg.base)) {
+  std::string base;
+  if (!(in >> base)) {
     resp.error = "journal needs a base path";
     return;
   }
-  cfg.base = io.resolve(cfg.base);
-  std::string policy;
-  if (in >> policy) {
-    if (!persist::fsync_policy_from(policy, &cfg.policy)) {
-      resp.error = "unknown fsync policy '" + policy +
-                   "' (every-record|interval|none|group-commit)";
-      return;
-    }
-    // Knobs: a bare number keeps the historic "interval N" grammar; the
-    // keyword forms tune group commit and segmentation for any policy.
-    std::string word;
-    while (in >> word) {
-      std::uint64_t n = 0;
-      if (word == "batch" && in >> n && n > 0) {
-        cfg.group_batch_records = static_cast<std::uint32_t>(n);
-      } else if (word == "delay-us" && in >> n) {
-        cfg.group_delay_us = static_cast<std::uint32_t>(n);
-      } else if (word == "segment" && in >> n && n > 0) {
-        cfg.segment_bytes = n;
-      } else if (std::istringstream bare(word); bare >> n && n > 0) {
-        cfg.interval_records = static_cast<std::uint32_t>(n);
-      } else {
-        resp.error = "unknown journal option '" + word +
-                     "' (interval-records|batch <n>|delay-us <n>|segment <bytes>)";
-        return;
-      }
-    }
-  }
+  base = io.resolve(base);
+  std::string knobs;
+  std::getline(in, knobs);
   persist::Journal::Options opts;
-  opts.fsync = cfg.policy;
-  opts.fsync_interval_records = cfg.interval_records;
-  opts.group_max_batch_records = cfg.group_batch_records;
-  opts.group_max_delay_us = cfg.group_delay_us;
-  opts.segment_bytes = cfg.segment_bytes;
+  if (!persist::journal_options_from(knobs, &opts, &resp.error)) return;
+  // The attach marker: the session's own open request.
+  persist::JournalRecord open_marker;
+  if (!ServiceFrontEnd::render(
+          Request{RequestType::kOpen, s.name(), s.open_options(), {}},
+          &open_marker.line, &resp.error)) {
+    resp.error = "session cannot be journaled: " + resp.error;
+    return;
+  }
   opts.truncate = true;
   opts.next_seq = 1;
   opts.metrics = &s.library().context().metrics();
   std::string error;
-  auto j = persist::Journal::open(persist::journal_path(cfg.base), opts,
-                                  &error);
+  auto j = persist::Journal::open(persist::journal_path(base), opts, &error);
   if (j == nullptr) {
     resp.error = error;
     return;
   }
-  const std::string base = cfg.base;
-  const persist::FsyncPolicy pol = cfg.policy;
-  s.attach_journal(std::move(j), std::move(cfg));
+  s.attach_journal(std::move(j), base);
   // Checkpoint immediately: from this instant, checkpoint + journal together
   // always describe the session's full state.
   std::uint64_t seq = 0;
@@ -740,14 +718,10 @@ void do_journal(DesignSession& s, const Request& r, Response& resp,
     resp.error = error;
     return;
   }
-  persist::JournalRecord rec;
-  rec.op = "open";
-  rec.session = s.name();
-  rec.text = s.open_options();
-  s.journal()->append(rec);
+  s.journal()->append(open_marker);
   resp.ok = true;
   resp.text = "journaling " + s.name() + " to " + base + " (fsync " +
-              persist::to_string(pol) + ")";
+              persist::to_string(opts.fsync) + ")";
 }
 
 void do_checkpoint(DesignSession& s, Response& resp) {
@@ -770,6 +744,39 @@ void do_checkpoint(DesignSession& s, Response& resp) {
   resp.text = "checkpoint of " + s.name() + " at seq " + std::to_string(seq);
 }
 
+/// Requests whose effect the journal records: the session's mutations.
+bool journaled(RequestType t) {
+  return t == RequestType::kLoad || t == RequestType::kAssign ||
+         t == RequestType::kBatchAssign || t == RequestType::kEdit ||
+         t == RequestType::kSelect;
+}
+
+/// The per-session dispatch (session mutex held).  Live traffic reaches it
+/// through DesignService::execute, and recovery replays every journal
+/// record through it, so a journal is replayed exactly as it was served.
+void dispatch(DesignSession& s, const Request& r, Response& resp,
+              const ShardIo& io) {
+  switch (r.type) {
+    case RequestType::kLoad: do_load(s, r, resp); break;
+    case RequestType::kSave: do_save(s, resp); break;
+    case RequestType::kAssign: do_assign(s, r, resp, false); break;
+    case RequestType::kBatchAssign: do_assign(s, r, resp, true); break;
+    case RequestType::kEdit: do_edit(s, r, resp); break;
+    case RequestType::kQuery: do_query(s, r, resp); break;
+    case RequestType::kReport: do_report(s, r, resp); break;
+    case RequestType::kJournal: do_journal(s, r, resp, io); break;
+    case RequestType::kCheckpoint: do_checkpoint(s, resp); break;
+    case RequestType::kSelect: do_select(s, r, resp); break;
+    case RequestType::kSelectStats: do_select_stats(s, r, resp); break;
+    case RequestType::kOpen:
+    case RequestType::kClose:
+    case RequestType::kRecover:
+      resp.error = std::string("'") + to_string(r.type) +
+                   "' is not a per-session request";
+      break;
+  }
+}
+
 /// Durability still owed after the session lock drops: under group commit
 /// the request must block on its CommitTicket (off-lock, so the next
 /// request for the session proceeds while this one waits for the flush).
@@ -785,41 +792,28 @@ void append_durability_warning(Response& resp) {
   resp.text += "WARNING: journal write failed; session is no longer durable";
 }
 
-/// Append one record per SUCCESSFUL mutating request.  A violating batch is
-/// still journaled (it mutated stats and must re-derive its restore on
-/// replay); a failed request mutated nothing and is not.  Synchronous
-/// policies finish the append (and its telemetry stamps) right here; group
-/// commit only enqueues and hands the caller a ticket to wait on after the
-/// session lock is released.
-PendingDurability journal_mutation(DesignSession& s, const Request& r,
+/// Append the record of one SUCCESSFUL mutating request: `line` is the
+/// request as rendered before it ran (empty when nothing is owed).  A
+/// violating batch is still journaled (it mutated stats and must re-derive
+/// its restore on replay); a failed request mutated nothing and is not.
+/// Synchronous policies finish the append (and its telemetry stamps) right
+/// here; group commit only enqueues and hands the caller a ticket to wait
+/// on after the session lock is released.
+PendingDurability journal_mutation(DesignSession& s, std::string line,
                                    Response& resp, RequestSpan* span) {
   PendingDurability pending;
   persist::Journal* j = s.journal();
-  if (j == nullptr || !resp.ok) return pending;
-  const bool mutating =
-      r.type == RequestType::kLoad || r.type == RequestType::kAssign ||
-      r.type == RequestType::kBatchAssign || r.type == RequestType::kEdit ||
-      r.type == RequestType::kSelect;
-  if (!mutating) return pending;
+  if (j == nullptr || line.empty() || !resp.ok) return pending;
   // A fresh-target load swaps the library's whole PropagationContext
   // (metrics registry included), so the sink the journal captured at attach
   // time may no longer exist — re-point it at the live registry.
   j->set_metrics(&s.library().context().metrics());
   persist::JournalRecord rec;
-  rec.op = to_string(r.type);
-  rec.session = s.name();
-  if (r.type == RequestType::kLoad || r.type == RequestType::kEdit ||
-      r.type == RequestType::kSelect) {
-    rec.text = r.text;
-  }
-  rec.assignments.reserve(r.assignments.size());
-  for (const Assignment& a : r.assignments) {
-    rec.assignments.emplace_back(a.variable, a.value);
-  }
+  rec.line = std::move(line);
   rec.violation = resp.violation;
   rec.applied = resp.assignments_applied;
   rec.restored = resp.variables_restored;
-  if (j->policy() == persist::FsyncPolicy::kGroupCommit) {
+  if (j->options().fsync == persist::FsyncPolicy::kGroupCommit) {
     pending.ticket = j->append_async(rec);
     pending.wait_needed = true;
     return pending;
@@ -839,8 +833,9 @@ PendingDurability journal_mutation(DesignSession& s, const Request& r,
 }
 
 /// Rebuild session `r.session` from "<base>.ckpt" + "<base>.journal": load
-/// the checkpoint library, replay every journal record past the checkpoint
-/// through the real engine, verify each record's recorded outcome re-derives
+/// the checkpoint library, parse every journal record past the checkpoint
+/// back into its request and run it through dispatch() under the recovered
+/// session's name, verify each record's recorded outcome re-derives
 /// identically, drop the torn tail, and resume journaling where the log
 /// left off.  The session is built and replayed BEFORE it is published into
 /// the shard registry, so concurrent requests either miss it entirely or
@@ -865,77 +860,72 @@ Response do_recover(SessionManager& sessions, const Request& r,
     resp.error = "recover failed: " + log.error;
     return resp;
   }
+  // Header options: the open options, then "fsync <journal options>".  A
+  // corrupt policy word must fail recovery loudly — silently recovering
+  // with the default would change the session's durability contract
+  // behind the operator's back.
   bool metrics = false;
   bool trace = false;
-  JournalConfig cfg;
-  cfg.base = base;
-  {
-    std::istringstream opts(log.meta.options);
-    std::string word;
-    while (opts >> word) {
-      if (word == "metrics") {
-        metrics = true;
-      } else if (word == "trace") {
-        trace = true;
-      } else if (word == "fsync") {
-        // A corrupt/unknown policy word must fail recovery loudly — silently
-        // recovering with the default policy would change the session's
-        // durability contract behind the operator's back.
-        std::string p;
-        if (!(opts >> p) || !persist::fsync_policy_from(p, &cfg.policy)) {
-          resp.error = "recover failed: checkpoint header has unknown fsync "
-                       "policy '" + p + "'";
-          return resp;
-        }
-      } else if (word == "interval") {
-        std::uint32_t n = 0;
-        if (opts >> n && n > 0) cfg.interval_records = n;
-      } else if (word == "batch") {
-        std::uint32_t n = 0;
-        if (opts >> n && n > 0) cfg.group_batch_records = n;
-      } else if (word == "delay-us") {
-        std::uint32_t n = 0;
-        if (opts >> n) cfg.group_delay_us = n;
-      } else if (word == "segment") {
-        std::uint64_t n = 0;
-        if (opts >> n && n > 0) cfg.segment_bytes = n;
-      }
-    }
+  std::istringstream opts(log.meta.options);
+  std::string word;
+  while (opts >> word && word != "fsync") {
+    metrics = metrics || word == "metrics";
+    trace = trace || word == "trace";
+  }
+  std::string knobs;
+  std::getline(opts, knobs);
+  persist::Journal::Options jopts;
+  std::string error;
+  if (!persist::journal_options_from(knobs, &jopts, &error)) {
+    resp.error = "recover failed: checkpoint header has " + error;
+    return resp;
   }
   // Unpublished: only this worker can reach the session until insert().
   const auto s = std::make_shared<DesignSession>(r.session, metrics, trace);
   const std::uint64_t t0 = core::Tracer::now_ns();
+  // Parse one logged line back into its request, renamed to the session
+  // being recovered; only mutations and the open/close markers are logged.
+  const auto parse_record = [&](const std::string& line, Request* rr) {
+    if (!ServiceFrontEnd::parse_logged(line, rr, &error)) return false;
+    rr->session = r.session;
+    if (journaled(rr->type) || rr->type == RequestType::kOpen ||
+        rr->type == RequestType::kClose) {
+      return true;
+    }
+    error = std::string("'") + to_string(rr->type) + "' is not a mutation";
+    return false;
+  };
   std::uint64_t mismatches = 0;
   std::uint64_t replayed = 0;
   try {
     if (log.has_checkpoint && !log.checkpoint_text.empty()) {
       env::LibraryReader::read_string(s->library(), log.checkpoint_text);
     }
-    for (const persist::JournalRecord& rec : log.replay) {
-      if (rec.op == "open" || rec.op == "close") continue;  // markers
-      Request rr;
-      rr.session = r.session;
-      rr.text = rec.text;
-      rr.assignments.reserve(rec.assignments.size());
-      for (const auto& [var, value] : rec.assignments) {
-        rr.assignments.push_back({var, value});
+    if (!log.meta.user_values.empty()) {
+      Request user;
+      Response uresp;
+      if (parse_record(log.meta.user_values, &user)) {
+        dispatch(*s, user, uresp, io);
       }
-      Response rresp;
-      if (rec.op == "load") {
-        do_load(*s, rr, rresp);
-      } else if (rec.op == "assign") {
-        do_assign(*s, rr, rresp, false);
-      } else if (rec.op == "batch-assign") {
-        do_assign(*s, rr, rresp, true);
-      } else if (rec.op == "edit") {
-        do_edit(*s, rr, rresp);
-      } else if (rec.op == "select") {
-        do_select(*s, rr, rresp);
-      } else {
-        resp.error = "journal record " + std::to_string(rec.seq) +
-                     " has unknown op '" + rec.op + "'";
+      if (!uresp.ok || uresp.violation) {
+        resp.error = "recover failed: checkpoint #USER values do not "
+                     "re-apply: " + error + uresp.error +
+                     uresp.violation_message;
         return resp;
       }
+    }
+    for (const persist::JournalRecord& rec : log.replay) {
+      Request rr;
+      if (!parse_record(rec.line, &rr)) {
+        resp.error = "recover failed: journal record " +
+                     std::to_string(rec.seq) + ": " + error;
+        return resp;
+      }
+      if (rr.type == RequestType::kOpen || rr.type == RequestType::kClose) {
+        continue;  // attach / shutdown markers
+      }
+      Response rresp;
+      dispatch(*s, rr, rresp, io);
       ++replayed;
       // The engine is deterministic: the replayed outcome must re-derive
       // the recorded one.  A mismatch means the log and the code disagree.
@@ -963,18 +953,11 @@ Response do_recover(SessionManager& sessions, const Request& r,
     persist::truncate_journal(persist::journal_path(base),
                               log.scan.valid_bytes);
   }
-  persist::Journal::Options jopts;
-  jopts.fsync = cfg.policy;
-  jopts.fsync_interval_records = cfg.interval_records;
-  jopts.group_max_batch_records = cfg.group_batch_records;
-  jopts.group_max_delay_us = cfg.group_delay_us;
-  jopts.segment_bytes = cfg.segment_bytes;
   jopts.truncate = false;
   jopts.next_seq = (log.scan.records.empty() ? log.meta.seq
                                              : log.scan.records.back().seq) +
                    1;
   jopts.metrics = &ctx.metrics();
-  std::string error;
   auto j = persist::Journal::open(persist::journal_path(base), jopts, &error);
   std::ostringstream out;
   out << "recovered " << r.session << " from " << base << ": checkpoint seq "
@@ -985,7 +968,7 @@ Response do_recover(SessionManager& sessions, const Request& r,
     // State is rebuilt; only re-attachment failed.  Keep the session, say so.
     out << "; journal re-attach failed: " << error;
   } else {
-    s->attach_journal(std::move(j), std::move(cfg));
+    s->attach_journal(std::move(j), base);
   }
   // Publish only now: the registry never exposes a half-recovered session.
   // A concurrent open of the same name during replay wins the race and this
@@ -1252,26 +1235,18 @@ Response DesignService::execute(const Request& r, RequestSpan* span,
   std::unique_lock<std::mutex> lock(s->mutex());
   if (span != nullptr) span->t_lock = core::Tracer::now_ns();
   s->count_request();
-  switch (r.type) {
-    case RequestType::kLoad: do_load(*s, r, resp); break;
-    case RequestType::kSave: do_save(*s, resp); break;
-    case RequestType::kAssign: do_assign(*s, r, resp, false); break;
-    case RequestType::kBatchAssign: do_assign(*s, r, resp, true); break;
-    case RequestType::kEdit: do_edit(*s, r, resp); break;
-    case RequestType::kQuery: do_query(*s, r, resp); break;
-    case RequestType::kReport: do_report(*s, r, resp); break;
-    case RequestType::kJournal:
-      do_journal(*s, r, resp, ShardIo{sessions_.get(), shard});
-      break;
-    case RequestType::kCheckpoint: do_checkpoint(*s, resp); break;
-    case RequestType::kSelect: do_select(*s, r, resp); break;
-    case RequestType::kSelectStats: do_select_stats(*s, r, resp); break;
-    case RequestType::kOpen:
-    case RequestType::kClose:
-    case RequestType::kRecover: break;  // handled above
+  // A journaled request is rendered before it runs: one the log could not
+  // carry fails here and mutates nothing.
+  std::string logged;
+  if (s->journal() != nullptr && journaled(r.type) &&
+      !ServiceFrontEnd::render(r, &logged, &resp.error)) {
+    resp.error = "request cannot be journaled: " + resp.error;
+    return resp;
   }
+  dispatch(*s, r, resp, ShardIo{sessions_.get(), shard});
   if (span != nullptr) span->t_work_done = core::Tracer::now_ns();
-  const PendingDurability pending = journal_mutation(*s, r, resp, span);
+  const PendingDurability pending =
+      journal_mutation(*s, std::move(logged), resp, span);
   // While the session traces, its request phases land in the same sinks as
   // the engine's own events, so a Chrome-trace export shows queue/lock/
   // propagate/journal slices interleaved with the propagation waves.
@@ -1356,8 +1331,7 @@ Response DesignService::execute_lifecycle(const Request& r,
       const std::lock_guard<std::mutex> lock(victim->mutex());
       if (victim->journal() != nullptr) {
         persist::JournalRecord rec;
-        rec.op = "close";
-        rec.session = r.session;
+        ServiceFrontEnd::render(r, &rec.line);
         victim->journal()->append(rec);
         victim->detach_journal();
       }

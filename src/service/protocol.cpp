@@ -21,12 +21,15 @@ std::string at_byte(std::istringstream& in, const std::string& line) {
   return " (at byte " + std::to_string(off) + ")";
 }
 
-std::string unescape_newlines(const std::string& s) {
+/// Undo render()'s `load ... text` escapes: "\\n" is a newline and "\\\\" a
+/// backslash; any other backslash stands for itself.
+std::string unescape_text(const std::string& s) {
   std::string out;
   out.reserve(s.size());
   for (std::size_t i = 0; i < s.size(); ++i) {
-    if (s[i] == '\\' && i + 1 < s.size() && s[i + 1] == 'n') {
-      out.push_back('\n');
+    const char next = i + 1 < s.size() ? s[i + 1] : '\0';
+    if (s[i] == '\\' && (next == 'n' || next == '\\')) {
+      out.push_back(next == 'n' ? '\n' : '\\');
       ++i;
     } else {
       out.push_back(s[i]);
@@ -80,8 +83,8 @@ const char* usage() {
          "report <s> [cell], select <s> <cell> [slot <subcell>]... "
          "[limit <n>] [commit], select-stats <s> <cell> [slot <subcell>]... "
          "[limit <n>], journal <s> <base> "
-         "[every-record|interval|none|group-commit [records] [batch <n>] "
-         "[delay-us <n>] [segment <bytes>]], "
+         "[every-record|interval [n]|none|group-commit] [batch <n>] "
+         "[delay-us <n>] [segment <bytes>], "
          "checkpoint <s>, recover <s> <base>, close <s>, "
          "sessions, stats [--latency], export-metrics [path], "
          "telemetry on|off, flight arm <base> [slow-ns] | off | dump | "
@@ -134,7 +137,7 @@ bool ServiceFrontEnd::parse(const std::string& line, Request* out,
       text << f.rdbuf();
       out->text = text.str();
     } else {
-      out->text = unescape_newlines(rest_of(in));
+      out->text = unescape_text(rest_of(in));
     }
     return true;
   }
@@ -206,6 +209,19 @@ bool ServiceFrontEnd::parse(const std::string& line, Request* out,
   return false;
 }
 
+bool ServiceFrontEnd::parse_logged(const std::string& line, Request* out,
+                                   std::string* error) {
+  std::istringstream in(line);
+  std::string verb, session, mode;
+  in >> verb >> session >> mode;
+  if (verb == "load" && mode == "file") {
+    *error = "'load ... file' is not allowed in traces or journals (library "
+             "text must travel inline)";
+    return false;
+  }
+  return parse(line, out, error);
+}
+
 namespace {
 
 bool render_fail(std::string* error, const char* why) {
@@ -256,11 +272,7 @@ bool ServiceFrontEnd::render(const Request& r, std::string* out,
       }
       return true;
     case RequestType::kLoad:
-      // Always the `text` form: "\n" is the only escape parse() undoes, so a
-      // literal backslash in the library text cannot survive the round trip.
-      if (r.text.find('\\') != std::string::npos) {
-        return render_fail(error, "library text with a backslash cannot round-trip");
-      }
+      // Always the `text` form, with the two escapes parse() undoes.
       if (!r.text.empty() && (r.text.front() == ' ' || r.text.front() == '\t')) {
         return render_fail(error, "library text starting with a blank cannot round-trip");
       }
@@ -268,6 +280,8 @@ bool ServiceFrontEnd::render(const Request& r, std::string* out,
       for (const char c : r.text) {
         if (c == '\n') {
           out->append("\\n");
+        } else if (c == '\\') {
+          out->append("\\\\");
         } else {
           out->push_back(c);
         }

@@ -27,20 +27,6 @@ class Variable;
 
 namespace stemcp::service {
 
-/// Where and how a session journals (docs/PERSISTENCE.md).  `base` names the
-/// durable-state pair "<base>.ckpt" / "<base>.journal".
-struct JournalConfig {
-  std::string base;
-  persist::FsyncPolicy policy = persist::FsyncPolicy::kEveryRecord;
-  std::uint32_t interval_records = 32;
-  // kGroupCommit knobs (ignored by the other policies).
-  std::uint32_t group_batch_records = 64;
-  std::uint32_t group_delay_us = 200;
-  /// Roll the journal into sealed "<base>.journal.<n>" segments at this
-  /// size (0 = single-file journal, no rollover).
-  std::uint64_t segment_bytes = 0;
-};
-
 class DesignSession {
  public:
   /// `collect_metrics` enables the per-session MetricsRegistry (and
@@ -87,13 +73,15 @@ class DesignSession {
 
   /// The attached operation journal, or nullptr for an in-memory-only
   /// session.  The service appends one record per successful mutating
-  /// request while this is set.
+  /// request while this is set; its options() hold the sync knobs.
   persist::Journal* journal() { return journal_.get(); }
-  const JournalConfig& journal_config() const { return journal_cfg_; }
+  /// The durable-state base: "<base>.ckpt" / "<base>.journal"
+  /// (docs/PERSISTENCE.md).
+  const std::string& journal_base() const { return journal_base_; }
 
-  void attach_journal(std::unique_ptr<persist::Journal> j, JournalConfig cfg) {
+  void attach_journal(std::unique_ptr<persist::Journal> j, std::string base) {
     journal_ = std::move(j);
-    journal_cfg_ = std::move(cfg);
+    journal_base_ = std::move(base);
   }
   /// Release the journal (its destructor flushes and closes the file).
   std::unique_ptr<persist::Journal> detach_journal() {
@@ -128,7 +116,7 @@ class DesignSession {
   bool opt_metrics_ = false;
   bool opt_trace_ = false;
   std::unique_ptr<persist::Journal> journal_;
-  JournalConfig journal_cfg_;
+  std::string journal_base_;
   SelectionTally selection_;
 };
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "core/trace.h"
+#include "service/protocol.h"
 
 namespace stemcp::workload {
 
@@ -29,7 +30,7 @@ void TraceRecorder::record(const service::Request& r) {
   const std::uint64_t offset =
       std::max(now >= t0_ns_ ? now - t0_ns_ : 0, last_offset_ns_);
   line_scratch_.clear();
-  if (!render_request(r, &line_scratch_, nullptr)) {
+  if (!service::ServiceFrontEnd::render(r, &line_scratch_)) {
     ++drops_;
     return;
   }

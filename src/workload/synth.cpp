@@ -5,6 +5,8 @@
 #include <fstream>
 #include <sstream>
 
+#include "service/protocol.h"
+
 namespace stemcp::workload {
 
 namespace {
@@ -280,7 +282,7 @@ std::vector<TraceRecord> synthesize(const Scenario& sc) {
     rec.offset_ns = offset_ns;
     rec.request = std::move(req);
     std::string err;
-    if (!render_request(rec.request, &rec.line, &err)) {
+    if (!service::ServiceFrontEnd::render(rec.request, &rec.line, &err)) {
       // Every request this generator builds is renderable by construction.
       return;
     }

@@ -4,157 +4,79 @@
 #include <fstream>
 #include <sstream>
 
-#include "persist/journal.h"
+#include "persist/framed.h"
 #include "service/protocol.h"
 
 namespace stemcp::workload {
 
 namespace {
 
-constexpr std::string_view kMagic = "T1 ";
-constexpr std::size_t kCrcDigits = 8;
+constexpr std::string_view kTag = "T1";
 
 bool fail(std::string* error, std::string why) {
   if (error != nullptr) *error = std::move(why);
   return false;
 }
 
-bool is_hex_lower(char c) {
-  return (c >= '0' && c <= '9') || (c >= 'a' && c <= 'f');
-}
-
-/// "load <sess> file ..." — rejected before ServiceFrontEnd::parse gets a
-/// chance to slurp the file: traces must be self-contained.
-bool is_load_file_form(std::string_view line) {
-  std::istringstream in{std::string(line)};
-  std::string verb, session, mode;
-  in >> verb >> session >> mode;
-  return verb == "load" && mode == "file";
+/// <offset-ns> <request-line>
+bool decode_body(std::string_view body, TraceRecord* out, std::string* error) {
+  std::uint64_t offset = 0;
+  if (!persist::take_u64(&body, &offset) || body.empty()) {
+    return fail(error, "missing arrival offset or request line");
+  }
+  service::Request req;
+  std::string perr;
+  if (!service::ServiceFrontEnd::parse_logged(std::string(body), &req, &perr)) {
+    return fail(error, "bad request line: " + perr);
+  }
+  out->offset_ns = offset;
+  out->line.assign(body);
+  out->request = std::move(req);
+  return true;
 }
 
 }  // namespace
 
-bool render_request(const service::Request& r, std::string* line,
-                    std::string* error) {
-  return service::ServiceFrontEnd::render(r, line, error);
-}
-
 bool encode_trace_line(std::uint64_t offset_ns, std::string_view line,
                        std::string* out, std::string* error) {
-  if (line.empty()) return fail(error, "empty request line");
-  if (line.find('\n') != std::string_view::npos ||
-      line.find('\r') != std::string_view::npos) {
-    return fail(error, "request line contains a line break");
-  }
-  out->append(kMagic);
-  const std::size_t crc_at = out->size();
-  out->append("00000000 ");  // patched below, once the body is in place
-  const std::size_t body_at = out->size();
   char digits[24];
   const int n = std::snprintf(digits, sizeof digits, "%llu",
                               static_cast<unsigned long long>(offset_ns));
-  out->append(digits, static_cast<std::size_t>(n));
-  out->push_back(' ');
-  out->append(line);
-  const std::uint32_t crc = persist::crc32(
-      std::string_view(out->data() + body_at, out->size() - body_at));
-  char hex[kCrcDigits + 1];
-  std::snprintf(hex, sizeof hex, "%08x", crc);
-  out->replace(crc_at, kCrcDigits, hex, kCrcDigits);
-  out->push_back('\n');
+  if (!persist::append_framed(
+          kTag, std::string_view(digits, static_cast<std::size_t>(n)), line,
+          out)) {
+    return fail(error, "request line must be one non-empty line");
+  }
   return true;
 }
 
 bool decode_trace_line(std::string_view encoded, TraceRecord* out,
                        std::string* error) {
-  if (encoded.size() < kMagic.size() ||
-      encoded.substr(0, kMagic.size()) != kMagic) {
-    return fail(error, "bad magic (want 'T1 ')");
-  }
-  std::string_view rest = encoded.substr(kMagic.size());
-  if (rest.size() < kCrcDigits + 1 || rest[kCrcDigits] != ' ') {
-    return fail(error, "truncated CRC field");
-  }
-  std::uint32_t want = 0;
-  for (std::size_t i = 0; i < kCrcDigits; ++i) {
-    const char c = rest[i];
-    if (!is_hex_lower(c)) return fail(error, "CRC is not 8 lowercase hex digits");
-    want = want * 16 + static_cast<std::uint32_t>(
-                           c <= '9' ? c - '0' : c - 'a' + 10);
-  }
-  const std::string_view body = rest.substr(kCrcDigits + 1);
-  if (persist::crc32(body) != want) return fail(error, "CRC mismatch");
-
-  // <offset-ns> <request-line>
-  std::size_t i = 0;
-  std::uint64_t offset = 0;
-  while (i < body.size() && body[i] >= '0' && body[i] <= '9') {
-    const std::uint64_t digit = static_cast<std::uint64_t>(body[i] - '0');
-    if (offset > (UINT64_MAX - digit) / 10) {
-      return fail(error, "arrival offset overflows 64 bits");
-    }
-    offset = offset * 10 + digit;
-    ++i;
-  }
-  if (i == 0) return fail(error, "missing arrival offset");
-  if (i >= body.size() || body[i] != ' ') {
-    return fail(error, "missing request line after offset");
-  }
-  const std::string_view line = body.substr(i + 1);
-  if (line.empty()) return fail(error, "empty request line");
-  if (is_load_file_form(line)) {
-    return fail(error,
-                "'load ... file' is not allowed in traces (library text "
-                "must travel inline)");
-  }
-  service::Request req;
-  std::string perr;
-  if (!service::ServiceFrontEnd::parse(std::string(line), &req, &perr)) {
-    return fail(error, "bad request line: " + perr);
-  }
-  out->offset_ns = offset;
-  out->line.assign(line);
-  out->request = std::move(req);
-  return true;
+  std::string_view body;
+  return persist::decode_framed(encoded, kTag, &body, error) &&
+         decode_body(body, out, error);
 }
 
 TraceScan scan_trace_text(const std::string& contents) {
   TraceScan scan;
-  std::size_t pos = 0;
-  while (pos < contents.size()) {
-    const std::size_t nl = contents.find('\n', pos);
-    if (nl == std::string::npos) {
-      // Unterminated final line: a torn write, tolerated (journal rule).
-      scan.torn_tail = true;
-      break;
-    }
-    TraceRecord rec;
-    std::string derr;
-    const std::string_view line(contents.data() + pos, nl - pos);
-    if (!decode_trace_line(line, &rec, &derr)) {
-      if (contents.find('\n', nl + 1) == std::string::npos) {
-        // A bad record as the very last line could be a torn write whose
-        // tail happened to include '\n' garbage — tolerated, like the
-        // journal scanner.
-        scan.torn_tail = true;
-        break;
-      }
-      scan.error = "trace corrupt at byte " + std::to_string(pos) + ": " + derr;
-      return scan;
-    }
-    if (!scan.records.empty() && rec.offset_ns < scan.records.back().offset_ns) {
-      // A CRC-valid record cannot be a partial write, so time going
-      // backwards is corruption no matter where it sits.
-      scan.error = "trace disordered at byte " + std::to_string(pos) +
-                   ": offset " + std::to_string(rec.offset_ns) +
+  const persist::FramedScan framed = persist::scan_framed(
+      contents, kTag, "trace",
+      [&scan](std::string_view body, std::string* error) {
+        TraceRecord rec;
+        if (!decode_body(body, &rec, error)) return false;
+        if (!scan.records.empty() &&
+            rec.offset_ns < scan.records.back().offset_ns) {
+          *error = "disordered offset " + std::to_string(rec.offset_ns) +
                    " goes backwards (previous " +
                    std::to_string(scan.records.back().offset_ns) + ")";
-      return scan;
-    }
-    scan.records.push_back(std::move(rec));
-    pos = nl + 1;
-    scan.bytes_scanned = pos;
-  }
+          return false;
+        }
+        scan.records.push_back(std::move(rec));
+        return true;
+      });
+  scan.torn_tail = framed.torn_tail;
+  scan.error = framed.error;
+  scan.bytes_scanned = framed.valid_bytes;
   return scan;
 }
 

@@ -1,26 +1,18 @@
-// Trace format for recorded/synthesized design-session traffic (ISSUE 10):
-// one timestamped request per line, in the style of persist/journal.cpp —
+// Trace format for recorded/synthesized design-session traffic: one
+// timestamped request per framed line (persist/framed.h, docs/FORMAT.md) —
 //
 //   T1 <crc32-hex8> <offset-ns> <protocol-request-line>
 //
-//   * "T1" — format magic + version.
-//   * crc32 — CRC-32 (IEEE) of everything AFTER the following space, i.e.
-//     of "<offset-ns> <protocol-request-line>", rendered as exactly eight
-//     lowercase hex digits.
 //   * offset-ns — arrival time in nanoseconds relative to the first record
 //     (the first record's offset is 0); offsets are non-decreasing, and a
 //     CRC-valid record that goes backwards in time is CORRUPTION, not a torn
 //     write — the scanner rejects the file.
-//   * protocol-request-line — one request in the `protocol.cpp` grammar
-//     (`assign s PIPE/s0.delay(in->out) 1e-9`, ...), parsed back with
-//     ServiceFrontEnd::parse.  `load ... file <path>` is rejected: traces
-//     must be self-contained, so library text always travels inline in the
-//     escaped `text` form.
+//   * protocol-request-line — one request as ServiceFrontEnd::render writes
+//     it, parsed back with ServiceFrontEnd::parse_logged: `load ... file` is
+//     rejected, so traces stay self-contained.
 //
-// Scan rules mirror persist::scan_journal exactly: a final line without a
-// terminating '\n', or a final line that fails framing/CRC, is a torn tail —
-// tolerated, reported via `torn_tail`.  A bad line with ANY valid line after
-// it cannot be a torn write and fails the scan with a byte offset.
+// The framing, the CRC and the torn-tail rules are the journal's: both logs
+// are written and scanned by the one codec in persist/framed.h.
 #pragma once
 
 #include <cstdint>
@@ -42,8 +34,7 @@ struct TraceRecord {
   service::Request request;
 };
 
-/// Result of scanning a trace file, torn-tail discipline as in
-/// persist::JournalScan.
+/// Result of scanning a trace file (persist::scan_framed's rules).
 struct TraceScan {
   std::vector<TraceRecord> records;
   bool torn_tail = false;    ///< final line torn/unterminated (tolerated)
@@ -109,11 +100,5 @@ class TraceWriter {
   std::string scratch_;
   bool dead_ = false;
 };
-
-/// Render a request into `*line` (appends; no trailing newline) using the
-/// protocol grammar — thin wrapper over ServiceFrontEnd::render so workload
-/// callers need not name the front end.
-bool render_request(const service::Request& r, std::string* line,
-                    std::string* error = nullptr);
 
 }  // namespace stemcp::workload

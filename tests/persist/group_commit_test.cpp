@@ -11,7 +11,6 @@
 #include <thread>
 #include <vector>
 
-#include "persist/io_backend.h"
 #include "persist/journal.h"
 
 namespace stemcp::persist {
@@ -23,9 +22,7 @@ std::string tmp_path(const std::string& name) {
 
 JournalRecord record_for(const std::string& session, int i) {
   JournalRecord r;
-  r.op = "assign";
-  r.session = session;
-  r.assignments = {{"X.delay", 1e-9 * i}};
+  r.line = "assign " + session + " X.delay " + std::to_string(i) + "e-09";
   r.applied = 1;
   return r;
 }
@@ -95,6 +92,32 @@ TEST(GroupCommitTest, ManyConcurrentAppendsShareFewFsyncs) {
   ASSERT_EQ(scan.records.size(), static_cast<std::size_t>(kThreads * kPerThread));
   for (std::size_t i = 0; i < scan.records.size(); ++i) {
     EXPECT_EQ(scan.records[i].seq, i + 1) << "seq order must be exact";
+  }
+  std::remove(path.c_str());
+}
+
+// One flush of more lines than a single writev takes (IOV_MAX, 1024 on
+// Linux) still writes the whole batch, in order, under one fsync.
+TEST(GroupCommitTest, BatchBeyondIovMaxIsWrittenWhole) {
+  const std::string path = tmp_path("iov_max");
+  std::string error;
+  // A 10 s window: nothing flushes until sync() cuts it.
+  auto j = Journal::open(path, group_options(4096, 10000000), &error);
+  ASSERT_NE(j, nullptr) << error;
+  constexpr int kRecords = 3000;
+  std::vector<CommitTicket> tickets;
+  for (int i = 0; i < kRecords; ++i) {
+    JournalRecord r = record_for("a", i);
+    tickets.push_back(j->append_async(r));
+  }
+  ASSERT_TRUE(j->sync());
+  for (CommitTicket& t : tickets) ASSERT_TRUE(t.wait());
+  EXPECT_EQ(j->fsyncs(), 1u);
+  const JournalScan scan = scan_journal(path);
+  ASSERT_TRUE(scan.ok()) << scan.error;
+  ASSERT_EQ(scan.records.size(), static_cast<std::size_t>(kRecords));
+  for (std::size_t i = 0; i < scan.records.size(); ++i) {
+    ASSERT_EQ(scan.records[i].seq, i + 1);
   }
   std::remove(path.c_str());
 }
@@ -315,17 +338,6 @@ TEST(GroupCommitTest, DestructorFlushesOutstandingTickets) {
   for (CommitTicket& t : tickets) EXPECT_TRUE(t.wait());
   EXPECT_EQ(scan_journal(path).records.size(), 5u);
   std::remove(path.c_str());
-}
-
-TEST(GroupCommitTest, IoBackendIsAvailable) {
-  auto pw = make_pwrite_backend();
-  ASSERT_NE(pw, nullptr);
-  EXPECT_STREQ(pw->name(), "pwrite");
-  // make_io_backend never fails: io_uring when compiled+supported, else
-  // the pwrite fallback.
-  auto io = make_io_backend();
-  ASSERT_NE(io, nullptr);
-  if (!io_uring_available()) EXPECT_STREQ(io->name(), "pwrite");
 }
 
 }  // namespace

@@ -28,10 +28,8 @@ std::string slurp(const std::string& path) {
 
 JournalRecord sample_record() {
   JournalRecord r;
-  r.op = "batch-assign";
-  r.session = "alpha";
-  r.assignments = {{"PIPE.s0.delay(in->out)", 90e-9},
-                   {"PIPE.s1.delay(in->out)", 60.5e-9}};
+  r.line = "batch-assign alpha PIPE/s0.delay(in->out) 8.9999999999999999e-08 "
+           "PIPE/s1.delay(in->out) 6.0499999999999997e-08";
   r.violation = true;
   r.applied = 0;
   r.restored = 7;
@@ -57,6 +55,32 @@ TEST(FsyncPolicyTest, NamesRoundTrip) {
   EXPECT_FALSE(fsync_policy_from("sometimes", &out));
 }
 
+// The one journal-options grammar: the `journal` verb parses it and the
+// checkpoint header stores its rendering.
+TEST(FsyncPolicyTest, JournalOptionsGrammarRoundTrips) {
+  for (const char* text : {"every-record", "interval 8", "none segment 4096",
+                           "group-commit batch 8 delay-us 100 segment 4096"}) {
+    Journal::Options o;
+    std::string error;
+    ASSERT_TRUE(journal_options_from(text, &o, &error)) << text << ": " << error;
+    EXPECT_EQ(to_string(o), text);
+  }
+  Journal::Options knobs_only;
+  std::string error;
+  ASSERT_TRUE(journal_options_from("segment 64", &knobs_only, &error)) << error;
+  EXPECT_EQ(to_string(knobs_only), "every-record segment 64");
+  for (const char* bad : {"sometimes", "group-commit turbo", "none 5",
+                          "group-commit batch", "group-commit batch 0",
+                          "group-commit batch 4294967296", "segment x"}) {
+    Journal::Options o;
+    EXPECT_FALSE(journal_options_from(bad, &o, &error)) << bad;
+  }
+  Journal::Options o;
+  EXPECT_FALSE(journal_options_from("nope", &o, &error));
+  EXPECT_NE(error.find("unknown fsync policy 'nope'"), std::string::npos)
+      << error;
+}
+
 TEST(RecordCodecTest, RoundTripsAllFields) {
   JournalRecord r = sample_record();
   r.seq = 42;
@@ -72,20 +96,23 @@ TEST(RecordCodecTest, RoundTripsAllFields) {
 }
 
 TEST(RecordCodecTest, RoundTripsTextWithNewlinesAndBackslashes) {
+  // A rendered load request carries its text escaped ("\n", "\\"), so the
+  // record stays one line and round-trips byte for byte.
   JournalRecord r;
   r.seq = 1;
-  r.op = "load";
-  r.session = "s";
-  r.text = "cell A\n  signal x input\nend\\trailer \\n literal\n";
+  r.line = "load s text cell A\\n  signal x input\\nend\\\\trailer "
+           "\\\\n literal\\n";
   const std::string line = encode_record(r);
-  // The encoded record must still be a single line.
   EXPECT_EQ(line.find('\n'), line.size() - 1);
   JournalRecord back;
   std::string error;
   ASSERT_TRUE(decode_record(
       std::string_view(line).substr(0, line.size() - 1), &back, &error))
       << error;
-  EXPECT_EQ(back.text, r.text);
+  EXPECT_EQ(back, r);
+  // A raw newline cannot be framed: the record is refused, not split.
+  r.line = "load s text two\nlines";
+  EXPECT_EQ(encode_record(r), "");
 }
 
 TEST(RecordCodecTest, RejectsCorruption) {

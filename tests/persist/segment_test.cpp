@@ -27,9 +27,7 @@ void remove_all(const std::string& path) {
 
 JournalRecord record_for(int i) {
   JournalRecord r;
-  r.op = "assign";
-  r.session = "seg";
-  r.assignments = {{"X.delay", 1e-9 * i}};
+  r.line = "assign seg X.delay " + std::to_string(i) + "e-09";
   r.applied = 1;
   return r;
 }

@@ -15,6 +15,7 @@
 #include "persist/journal.h"
 #include "service/design_service.h"
 #include "service/protocol.h"
+#include "workload/synth.h"
 
 namespace stemcp::service {
 namespace {
@@ -104,8 +105,8 @@ TEST(ServicePersistenceTest, JournalCheckpointRecoverRoundTrip) {
       persist::scan_journal(persist::journal_path(base));
   ASSERT_TRUE(scan.ok()) << scan.error;
   ASSERT_FALSE(scan.records.empty());
-  EXPECT_EQ(scan.records.front().op, "open");
-  EXPECT_EQ(scan.records.back().op, "close");
+  EXPECT_EQ(scan.records.front().line, "open main");
+  EXPECT_EQ(scan.records.back().line, "close main");
 
   // Rebuild under the same name in a fresh service: byte-identical state.
   DesignService svc2(2);
@@ -124,7 +125,7 @@ TEST(ServicePersistenceTest, JournalCheckpointRecoverRoundTrip) {
       persist::scan_journal(persist::journal_path(base));
   ASSERT_TRUE(scan2.ok()) << scan2.error;
   ASSERT_GT(scan2.records.size(), scan.records.size());
-  EXPECT_EQ(scan2.records.back().op, "assign");
+  EXPECT_EQ(scan2.records.back().line.rfind("assign main ", 0), 0u);
   EXPECT_EQ(scan2.records.back().seq, last_seq + 1);
 }
 
@@ -154,6 +155,86 @@ TEST(ServicePersistenceTest, CheckpointTruncatesJournalAndRecovers) {
   ASSERT_TRUE(r.ok) << r.error;
   EXPECT_NE(r.text.find("replayed 0 record(s)"), std::string::npos) << r.text;
   EXPECT_EQ(save_image(svc2, "main"), before);
+}
+
+// A checkpoint taken mid-traffic must keep the #USER values designers set
+// on instances: the library text does not carry them, and a later edit's
+// outcome depends on them (the instance delay below protects its value, so
+// the class edit violates).  Recovery must re-derive that violation and
+// rebuild the live state byte for byte.
+TEST(ServicePersistenceTest, CheckpointKeepsInstanceUserValues) {
+  const std::string base = tmp_base("user_values");
+  DesignService svc(1);
+  ASSERT_TRUE(svc.call(make(RequestType::kOpen, "s")).ok);
+  ASSERT_TRUE(
+      svc.call(make(RequestType::kLoad, "s", workload::pipeline_design())).ok);
+  ASSERT_TRUE(
+      svc.call(make(RequestType::kJournal, "s", base + " every-record")).ok);
+  ASSERT_TRUE(svc.call(assign(RequestType::kAssign, "s",
+                              {{"PIPE/s0.delay(in->out)", 2e-9}}))
+                  .ok);
+  ASSERT_TRUE(svc.call(make(RequestType::kCheckpoint, "s")).ok);
+  Response r =
+      svc.call(make(RequestType::kEdit, "s", "leaf-delay STAGE in out 3e-9"));
+  ASSERT_TRUE(r.ok) << r.error;
+  EXPECT_TRUE(r.violation);
+  EXPECT_EQ(r.variables_restored, 1u);
+  const std::string image = save_image(svc, "s");
+  const Response vars = svc.call(make(RequestType::kQuery, "s", "vars"));
+  ASSERT_TRUE(vars.ok) << vars.error;
+  ASSERT_TRUE(svc.call(make(RequestType::kClose, "s")).ok);
+
+  DesignService svc2(1);
+  r = svc2.call(make(RequestType::kRecover, "s", base));
+  ASSERT_TRUE(r.ok) << r.error;
+  EXPECT_NE(r.text.find("replayed 1 record(s), 0 outcome mismatch(es)"),
+            std::string::npos)
+      << r.text;
+  EXPECT_EQ(save_image(svc2, "s"), image);
+  EXPECT_EQ(svc2.call(make(RequestType::kQuery, "s", "vars")).text, vars.text);
+}
+
+// On a journaled session a request is rendered before it runs: one the log
+// could not carry fails with ok=false and mutates nothing.  The same
+// request runs on a session without a journal.
+TEST(ServicePersistenceTest, UnjournalableRequestFailsBeforeItRuns) {
+  const std::string base = tmp_base("unjournalable");
+  DesignService svc(1);
+  ASSERT_TRUE(svc.call(make(RequestType::kOpen, "main")).ok);
+  ASSERT_TRUE(svc.call(make(RequestType::kJournal, "main", base + " none")).ok);
+  const std::string journal_before = slurp(persist::journal_path(base));
+  const Request two_lines = make(RequestType::kEdit, "main", "cell X\n");
+  Response r = svc.call(two_lines);
+  EXPECT_FALSE(r.ok);
+  EXPECT_NE(r.error.find("cannot be journaled"), std::string::npos) << r.error;
+  r = svc.call(make(RequestType::kQuery, "main", "cells"));
+  EXPECT_EQ(r.text.find("X\n"), std::string::npos) << r.text;
+  EXPECT_EQ(slurp(persist::journal_path(base)), journal_before);
+
+  ASSERT_TRUE(svc.call(make(RequestType::kOpen, "plain")).ok);
+  Request same = two_lines;
+  same.session = "plain";
+  EXPECT_TRUE(svc.call(same).ok);
+}
+
+// A journal line never makes recovery read another file: a CRC-valid
+// `load ... file` record fails the recovery instead.
+TEST(ServicePersistenceTest, RecoveryRefusesLoadFileRecords) {
+  const std::string base = tmp_base("load_file");
+  const std::string library = tmp_base("load_file.lib");
+  spit(library, kPipeline);
+  persist::JournalRecord rec;
+  rec.seq = 1;
+  rec.line = "load main file " + library;
+  spit(persist::journal_path(base), persist::encode_record(rec));
+
+  DesignService svc(1);
+  const Response r = svc.call(make(RequestType::kRecover, "main", base));
+  EXPECT_FALSE(r.ok);
+  EXPECT_NE(r.error.find("journal record 1: 'load ... file' is not allowed"),
+            std::string::npos)
+      << r.error;
+  EXPECT_EQ(svc.sessions().find("main"), nullptr);
 }
 
 TEST(ServicePersistenceTest, DeadJournalDegradesWithWarning) {

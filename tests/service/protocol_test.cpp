@@ -150,6 +150,7 @@ TEST(ServiceProtocolTest, RenderIsTheInverseOfParse) {
       "open s",
       "open s metrics trace",
       "load s text cell A\\n  signal p input\\nend\\n",
+      "load s text end # a \\\\ and a \\\\n\\n",
       "save s",
       "assign s A.x(a->b) 0.10000000000000001",
       "batch-assign s A.x(a->b) 1 B.y(c->d) 2.5",
@@ -198,9 +199,6 @@ TEST(ServiceProtocolTest, RenderRejectsWhatCannotRoundTrip) {
   r.session = "";
   EXPECT_FALSE(ServiceFrontEnd::render(r, &out, &err));
   r.session = "s";
-  r.type = RequestType::kLoad;
-  r.text = "back\\slash";  // parse() unescapes only "\n"
-  EXPECT_FALSE(ServiceFrontEnd::render(r, &out, &err));
   r.type = RequestType::kAssign;
   r.text = "";
   EXPECT_FALSE(ServiceFrontEnd::render(r, &out, &err)) << "no assignments";

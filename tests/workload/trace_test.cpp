@@ -91,7 +91,7 @@ TEST(TraceCodecTest, RenderParseRoundTripsTypedRequests) {
   r.assignments.push_back({"PIPE/s1.delay(in->out)", 0.30000000000000004});
   std::string line;
   std::string err;
-  ASSERT_TRUE(workload::render_request(r, &line, &err)) << err;
+  ASSERT_TRUE(service::ServiceFrontEnd::render(r, &line, &err)) << err;
   service::Request back;
   ASSERT_TRUE(service::ServiceFrontEnd::parse(line, &back, &err)) << err;
   EXPECT_EQ(back.type, r.type);
@@ -103,7 +103,7 @@ TEST(TraceCodecTest, RenderParseRoundTripsTypedRequests) {
   }
   // And the re-render is byte-identical (%.17g round-trips doubles).
   std::string again;
-  ASSERT_TRUE(workload::render_request(back, &again, &err)) << err;
+  ASSERT_TRUE(service::ServiceFrontEnd::render(back, &again, &err)) << err;
   EXPECT_EQ(again, line);
 }
 
@@ -111,9 +111,10 @@ TEST(TraceCodecTest, LoadTextWithNewlinesRoundTrips) {
   service::Request r;
   r.type = service::RequestType::kLoad;
   r.session = "s";
-  r.text = "cell A\n  signal in input\nend\n";
+  // Backslashes round-trip too, including one before an 'n'.
+  r.text = "cell A\n  signal in input\nend # a \\ and a \\n\n";
   std::string line;
-  ASSERT_TRUE(workload::render_request(r, &line));
+  ASSERT_TRUE(service::ServiceFrontEnd::render(r, &line));
   service::Request back;
   std::string err;
   ASSERT_TRUE(service::ServiceFrontEnd::parse(line, &back, &err)) << err;
@@ -125,20 +126,16 @@ TEST(TraceCodecTest, UnrenderableRequestsAreRejected) {
   r.type = service::RequestType::kQuery;
   r.session = "has space";
   std::string line, err;
-  EXPECT_FALSE(workload::render_request(r, &line, &err));
+  EXPECT_FALSE(service::ServiceFrontEnd::render(r, &line, &err));
   r.session = "s";
-  r.type = service::RequestType::kLoad;
-  r.text = "literal \\n backslash";  // parse() would unescape it
-  line.clear();
-  EXPECT_FALSE(workload::render_request(r, &line, &err));
   r.type = service::RequestType::kEdit;
   r.text = "two\nlines";
   line.clear();
-  EXPECT_FALSE(workload::render_request(r, &line, &err));
+  EXPECT_FALSE(service::ServiceFrontEnd::render(r, &line, &err));
   r.type = service::RequestType::kJournal;
   r.text = "";  // journal needs a base
   line.clear();
-  EXPECT_FALSE(workload::render_request(r, &line, &err));
+  EXPECT_FALSE(service::ServiceFrontEnd::render(r, &line, &err));
 }
 
 TEST(TraceCodecTest, DecodeRejectsBadFraming) {

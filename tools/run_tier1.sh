@@ -27,8 +27,9 @@ TSAN_FILTER='DesignService|ServiceProtocol|GlobalMetrics|Telemetry|FlightRecorde
 # The durability layer: raw-fd journal I/O, checkpoint rename dance, replay,
 # and the reader's append-rollback path — everything that touches memory by
 # hand.  Run under ASan/UBSan by --asan.  The workload trace codec/scanner
-# (CRC framing, torn-tail scan, FILE* writer) belongs to the same surface.
-ASAN_FILTER='Journal|Crc32|FsyncPolicy|RecordCodec|Checkpoint|AtomicWrite|Persistence|IoTest|IoSeeds|ExampleDesigns|Fd|GroupCommit|Segment|Trace|Workload'
+# (CRC framing, torn-tail scan, FILE* writer) belongs to the same surface,
+# and so does the seeded mutation fuzzer of their shared framed-line scanner.
+ASAN_FILTER='Journal|Crc32|FsyncPolicy|RecordCodec|Checkpoint|AtomicWrite|Persistence|IoTest|IoSeeds|ExampleDesigns|Fd|GroupCommit|Segment|Trace|Workload|Framed'
 # The hottest benchmarks, smoked by --bench.
 BENCH_SMOKE="bench_fig4_5_simple_network bench_agenda_scheduling bench_design_service bench_persistence bench_latency_under_load bench_fd_selection bench_workload_replay"
 RUN_PLAIN=1
@@ -59,6 +60,14 @@ if [[ "$RUN_PLAIN" == 1 ]]; then
   # The bench tooling's own error paths must die with one-line diagnostics,
   # never tracebacks (tools/bench_compare.py self-check).
   tools/bench_compare.py self-check
+  # The end-to-end benchmark's smoke (bench/e2e, its own Release package):
+  # every session of all four workloads is recovered and must come back
+  # byte-identical with zero outcome mismatches — the recovery oracle over
+  # the same replay path live traffic takes.
+  echo "== tier-1: e2e recovery oracle (bench_e2e_smoke) =="
+  cmake -B build-e2e -S bench/e2e
+  cmake --build build-e2e -j "$(nproc)"
+  ctest --test-dir build-e2e --output-on-failure
 fi
 
 if [[ "$RUN_SANITIZED" == 1 ]]; then
