@@ -22,7 +22,6 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
-#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
@@ -98,29 +97,6 @@ inline std::string stats_json_path(const char* argv0) {
   return exe + ".stats.json";
 }
 
-inline std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 /// One measured benchmark repetition, normalized to ns/iteration.
 struct BenchResult {
   std::string name;
@@ -165,12 +141,12 @@ class CollectingReporter : public benchmark::ConsoleReporter {
 inline std::string consolidated_json(const std::string& bench_name,
                                      const std::vector<BenchResult>& results) {
   std::ostringstream out;
-  out << "{\"bench\":\"" << json_escape(bench_name) << "\",\"benchmarks\":[";
+  out << "{\"bench\":" << core::json_string(bench_name) << ",\"benchmarks\":[";
   bool first = true;
   for (const BenchResult& r : results) {
     if (!first) out << ',';
     first = false;
-    out << "{\"name\":\"" << json_escape(r.name) << "\""
+    out << "{\"name\":" << core::json_string(r.name)
         << ",\"iterations\":" << r.iterations
         << ",\"real_time_ns_per_iter\":" << r.real_time_ns_per_iter
         << ",\"cpu_time_ns_per_iter\":" << r.cpu_time_ns_per_iter;
@@ -180,13 +156,14 @@ inline std::string consolidated_json(const std::string& bench_name,
       for (const auto& [cname, v] : r.counters) {
         if (!cfirst) out << ',';
         cfirst = false;
-        out << '"' << json_escape(cname) << "\":" << v;
+        out << core::json_string(cname) << ':' << v;
       }
       out << '}';
     }
     out << '}';
   }
-  out << "],\"metrics\":" << core::global_metrics_json() << '}';
+  out << "],\"metrics\":" << core::global_metrics_snapshot().to_json()
+      << '}';
   return out.str();
 }
 

@@ -3,14 +3,13 @@
 #include <algorithm>
 #include <bit>
 #include <chrono>
+#include <cinttypes>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <limits>
-#include <ostream>
 #include <mutex>
-#include <shared_mutex>
+#include <ostream>
 #include <sstream>
 
 namespace stemcp::core {
@@ -51,160 +50,29 @@ std::string_view TraceEvent::label_view() const {
 }
 
 // ---------------------------------------------------------------------------
-// RingBufferSink
-
-RingBufferSink::RingBufferSink(std::size_t capacity)
-    : buf_(capacity == 0 ? 1 : capacity) {}
-
-void RingBufferSink::consume(const TraceEvent& e) {
-  const std::uint64_t w = write_.load(std::memory_order_relaxed);
-  buf_[w % buf_.size()] = e;
-  write_.store(w + 1, std::memory_order_release);
-}
-
-std::uint64_t RingBufferSink::overwritten() const {
-  const std::uint64_t total = total_consumed();
-  return total > buf_.size() ? total - buf_.size() : 0;
-}
-
-std::size_t RingBufferSink::size() const {
-  return static_cast<std::size_t>(
-      std::min<std::uint64_t>(total_consumed(), buf_.size()));
-}
-
-std::vector<TraceEvent> RingBufferSink::snapshot() const {
-  const std::uint64_t total = total_consumed();
-  const std::uint64_t n = std::min<std::uint64_t>(total, buf_.size());
-  std::vector<TraceEvent> out;
-  out.reserve(static_cast<std::size_t>(n));
-  for (std::uint64_t i = total - n; i < total; ++i) {
-    out.push_back(buf_[i % buf_.size()]);
-  }
-  return out;
-}
-
-void RingBufferSink::clear() {
-  write_.store(0, std::memory_order_release);
-}
-
-// ---------------------------------------------------------------------------
-// JSON helpers
-
-namespace {
-
-void append_json_escaped(std::string& out, std::string_view s) {
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char hex[8];
-          std::snprintf(hex, sizeof hex, "\\u%04x", c);
-          out += hex;
-        } else {
-          out += c;
-        }
-    }
-  }
-}
-
-std::string json_string(std::string_view s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  out += '"';
-  append_json_escaped(out, s);
-  out += '"';
-  return out;
-}
-
-}  // namespace
-
-std::string trace_event_to_json(const TraceEvent& e) {
-  std::string out;
-  out += "{\"seq\":" + std::to_string(e.seq);
-  out += ",\"type\":" + json_string(to_string(e.type));
-  out += ",\"ts_ns\":" + std::to_string(e.timestamp_ns);
-  if (e.duration_ns != 0) {
-    out += ",\"dur_ns\":" + std::to_string(e.duration_ns);
-  }
-  out += ",\"priority\":" + std::to_string(e.priority);
-  out += ",\"label\":" + json_string(e.label_view());
-  out += '}';
-  return out;
-}
-
-// ---------------------------------------------------------------------------
-// JsonlFileSink
-
-struct JsonlFileSink::Impl {
-  std::ofstream out;
-};
-
-JsonlFileSink::JsonlFileSink(const std::string& path)
-    : impl_(std::make_unique<Impl>()) {
-  impl_->out.open(path, std::ios::out | std::ios::trunc);
-}
-
-JsonlFileSink::~JsonlFileSink() = default;
-
-bool JsonlFileSink::ok() const { return impl_->out.good(); }
-
-void JsonlFileSink::consume(const TraceEvent& e) {
-  impl_->out << trace_event_to_json(e) << '\n';
-}
-
-void JsonlFileSink::flush() { impl_->out.flush(); }
-
-// ---------------------------------------------------------------------------
 // Tracer
 
 Tracer::Tracer() = default;
 Tracer::~Tracer() = default;
 
 void Tracer::set_enabled(bool on) {
-  if (on && sinks_.empty()) {
-    default_ring_ = std::make_shared<RingBufferSink>();
-    sinks_.push_back(default_ring_);
-  }
+  if (on && ring_ == nullptr) ring_ = std::make_unique<EventRing>();
   enabled_ = on;
 }
 
-void Tracer::add_sink(std::shared_ptr<TraceSink> sink) {
-  if (!sink) return;
-  if (default_ring_ == nullptr) {
-    default_ring_ = std::dynamic_pointer_cast<RingBufferSink>(sink);
-  }
-  sinks_.push_back(std::move(sink));
-}
-
-void Tracer::clear_sinks() {
-  sinks_.clear();
-  default_ring_.reset();
-}
-
-RingBufferSink* Tracer::ring() const { return default_ring_.get(); }
-
 void Tracer::emit(TraceEventType type, std::string_view label,
                   const void* subject, std::uint64_t duration_ns,
-                  std::uint8_t priority) {
+                  std::uint8_t priority, std::uint64_t timestamp_ns) {
   if (!enabled_) return;
   TraceEvent e;
   e.type = type;
   e.priority = priority;
   e.seq = seq_++;
-  e.timestamp_ns = now_ns();
+  e.timestamp_ns = timestamp_ns != 0 ? timestamp_ns : now_ns();
   e.duration_ns = duration_ns;
   e.subject = subject;
   e.set_label(label);
-  for (auto& s : sinks_) s->consume(e);
-}
-
-void Tracer::flush() {
-  for (auto& s : sinks_) s->flush();
+  ring_->push(e);
 }
 
 std::uint64_t Tracer::now_ns() {
@@ -215,49 +83,71 @@ std::uint64_t Tracer::now_ns() {
 }
 
 // ---------------------------------------------------------------------------
-// Chrome trace-event export
+// JSON and Chrome trace-event export
+
+std::string json_string(std::string_view s) {
+  std::string out;
+  out.reserve(s.size() + 2);
+  out += '"';
+  for (const char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char hex[8];
+          std::snprintf(hex, sizeof hex, "\\u%04x",
+                        static_cast<unsigned>(static_cast<unsigned char>(c)));
+          out += hex;
+        } else {
+          out += c;
+        }
+    }
+  }
+  out += '"';
+  return out;
+}
 
 namespace {
 
-void write_chrome_event(std::ostream& out, const TraceEvent& e, bool& first) {
-  const double ts_us = static_cast<double>(e.timestamp_ns) / 1000.0;
-  const double dur_us = static_cast<double>(e.duration_ns) / 1000.0;
-  const char* cat = to_string(e.type);
-
-  std::string name(e.label_view());
-  if (name.empty()) name = cat;
-
-  const char* ph = "i";
-  switch (e.type) {
-    case TraceEventType::kSessionBegin: ph = "B"; name = "session"; break;
-    case TraceEventType::kSessionEnd: ph = "E"; name = "session"; break;
-    case TraceEventType::kCheck:
-    case TraceEventType::kAgendaPop:
-    case TraceEventType::kRequestPhase: ph = "X"; break;
-    default: break;
-  }
-
-  if (!first) out << ",\n";
-  first = false;
-
-  out << "{\"name\":" << json_string(name) << ",\"cat\":" << json_string(cat)
-      << ",\"ph\":\"" << ph << "\",\"ts\":" << ts_us
-      << ",\"pid\":1,\"tid\":1";
-  if (*ph == 'X') out << ",\"dur\":" << dur_us;
-  if (*ph == 'i') out << ",\"s\":\"t\"";
-  out << ",\"args\":{\"seq\":" << e.seq
-      << ",\"priority\":" << static_cast<unsigned>(e.priority);
-  if (!e.label_view().empty()) {
-    out << ",\"label\":" << json_string(e.label_view());
-  }
-  out << "}}";
+/// Nanoseconds as fixed-point microseconds: "<us>.<3 digits>".
+void append_us(std::string& out, std::uint64_t ns) {
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%" PRIu64 ".%03u", ns / 1000,
+                static_cast<unsigned>(ns % 1000));
+  out += buf;
 }
 
 }  // namespace
 
+void append_chrome_event(std::string& out, bool& first, const ChromeEvent& e) {
+  if (!first) out += ",\n";
+  first = false;
+  out += "{\"name\":" + json_string(e.name);
+  out += ",\"cat\":" + json_string(e.cat);
+  out += ",\"ph\":\"";
+  out += e.ph;
+  out += "\",\"ts\":";
+  append_us(out, e.ts_ns);
+  out += ",\"pid\":1,\"tid\":" + std::to_string(e.tid);
+  if (e.ph == 'X') {
+    out += ",\"dur\":";
+    append_us(out, e.dur_ns);
+  }
+  if (e.ph == 'i') out += ",\"s\":\"t\"";
+  out += ",\"args\":{";
+  out += e.args;
+  out += "}}";
+}
+
 void write_chrome_trace(const std::vector<TraceEvent>& events,
                         std::ostream& out) {
   out << "{\"traceEvents\":[\n";
+  std::string event;
+  std::string args;
   bool first = true;
   // A wrapped ring may retain a sessionEnd without its begin; Perfetto
   // tolerates unmatched E events, but skip a leading E for cleanliness.
@@ -265,17 +155,41 @@ void write_chrome_trace(const std::vector<TraceEvent>& events,
   for (const TraceEvent& e : events) {
     if (e.type == TraceEventType::kSessionBegin) saw_begin = true;
     if (e.type == TraceEventType::kSessionEnd && !saw_begin) continue;
-    write_chrome_event(out, e, first);
+    ChromeEvent c;
+    c.cat = to_string(e.type);
+    c.name = e.label_view().empty() ? c.cat : e.label_view();
+    c.ts_ns = e.timestamp_ns;
+    switch (e.type) {
+      case TraceEventType::kSessionBegin: c.ph = 'B'; c.name = "session"; break;
+      case TraceEventType::kSessionEnd: c.ph = 'E'; c.name = "session"; break;
+      case TraceEventType::kCheck:
+      case TraceEventType::kAgendaPop:
+      case TraceEventType::kRequestPhase:
+        // Stamped when the work ended: the slice starts where it started.
+        c.ph = 'X';
+        c.dur_ns = std::min(e.duration_ns, e.timestamp_ns);
+        c.ts_ns = e.timestamp_ns - c.dur_ns;
+        break;
+      default: break;
+    }
+    args = "\"seq\":" + std::to_string(e.seq) +
+           ",\"priority\":" + std::to_string(e.priority);
+    if (!e.label_view().empty()) {
+      args += ",\"label\":" + json_string(e.label_view());
+    }
+    c.args = args;
+    event.clear();
+    append_chrome_event(event, first, c);
+    out << event;
   }
   out << "\n],\"displayTimeUnit\":\"ns\"}\n";
 }
 
 bool export_chrome_trace(const Tracer& tracer, const std::string& path) {
-  RingBufferSink* ring = tracer.ring();
-  if (ring == nullptr) return false;
+  if (tracer.ring() == nullptr) return false;
   std::ofstream out(path, std::ios::out | std::ios::trunc);
   if (!out.good()) return false;
-  write_chrome_trace(ring->snapshot(), out);
+  write_chrome_trace(tracer.ring()->snapshot(), out);
   return out.good();
 }
 
@@ -365,18 +279,6 @@ void ConcurrentHistogram::record(std::uint64_t value) {
   atomic_update_max(max_, value);
 }
 
-void ConcurrentHistogram::merge(const Histogram& h) {
-  if (h.count() == 0) return;
-  const auto& b = h.buckets();
-  for (std::size_t i = 0; i < Histogram::kBuckets; ++i) {
-    if (b[i] != 0) buckets_[i].fetch_add(b[i], std::memory_order_relaxed);
-  }
-  count_.fetch_add(h.count(), std::memory_order_relaxed);
-  sum_.fetch_add(h.sum(), std::memory_order_relaxed);
-  atomic_update_min(min_, h.min());
-  atomic_update_max(max_, h.max());
-}
-
 Histogram ConcurrentHistogram::snapshot() const {
   std::array<std::uint64_t, Histogram::kBuckets> b;
   for (std::size_t i = 0; i < Histogram::kBuckets; ++i) {
@@ -447,105 +349,39 @@ std::string MetricsRegistry::to_json() const {
 }
 
 // ---------------------------------------------------------------------------
-// Process-global aggregation
+// Process-global registry
 
 namespace {
 
-/// Process-global aggregate.  Counter values and histogram buckets are
-/// atomics; the shared mutex guards only the name→slot maps, so the common
-/// case (all names already registered) takes a reader lock and merges fully
-/// in parallel.  std::map never invalidates node references, so slots stay
-/// valid while any lock is held.
-class GlobalMetrics {
- public:
-  void merge(const MetricsRegistry& m) {
-    ensure_slots(m);
-    const std::shared_lock<std::shared_mutex> lock(mu_);
-    for (const auto& [name, v] : m.counters()) {
-      const auto it = counters_.find(name);
-      if (it != counters_.end()) {
-        it->second.fetch_add(v, std::memory_order_relaxed);
-      }
-    }
-    for (const auto& [name, h] : m.histograms()) {
-      const auto it = histograms_.find(name);
-      if (it != histograms_.end()) it->second.merge(h);
-    }
-  }
-
-  void add_counter(const std::string& name, std::uint64_t delta) {
-    {
-      const std::shared_lock<std::shared_mutex> lock(mu_);
-      const auto it = counters_.find(name);
-      if (it != counters_.end()) {
-        it->second.fetch_add(delta, std::memory_order_relaxed);
-        return;
-      }
-    }
-    const std::unique_lock<std::shared_mutex> lock(mu_);
-    counters_[name].fetch_add(delta, std::memory_order_relaxed);
-  }
-
-  /// One coherent load per counter/bucket into a plain registry.
-  MetricsRegistry snapshot_registry() const {
-    MetricsRegistry snap;
-    const std::shared_lock<std::shared_mutex> lock(mu_);
-    for (const auto& [name, v] : counters_) {
-      snap.add_counter(name, v.load(std::memory_order_relaxed));
-    }
-    for (const auto& [name, h] : histograms_) {
-      snap.histogram(name) = h.snapshot();
-    }
-    return snap;
-  }
-
-  std::string to_json() const { return snapshot_registry().to_json(); }
-
-  void reset() {
-    const std::unique_lock<std::shared_mutex> lock(mu_);
-    counters_.clear();
-    histograms_.clear();
-  }
-
- private:
-  /// Create any missing slots up front (writer lock), so the merge itself
-  /// can run under the reader lock.  A concurrent reset() may drop a slot
-  /// between the two phases; the merge then skips it — the reset wins.
-  void ensure_slots(const MetricsRegistry& m) {
-    const std::unique_lock<std::shared_mutex> lock(mu_);
-    for (const auto& [name, v] : m.counters()) {
-      (void)v;
-      counters_.try_emplace(name);
-    }
-    for (const auto& [name, h] : m.histograms()) {
-      (void)h;
-      histograms_.try_emplace(name);
-    }
-  }
-
-  mutable std::shared_mutex mu_;
-  std::map<std::string, std::atomic<std::uint64_t>> counters_;
-  std::map<std::string, ConcurrentHistogram> histograms_;
+struct GlobalRegistry {
+  std::mutex mu;
+  MetricsRegistry registry;
 };
 
-GlobalMetrics& global_metrics() {
-  static GlobalMetrics g;
+GlobalRegistry& global_registry() {
+  static GlobalRegistry g;
   return g;
 }
 
 }  // namespace
 
 void merge_into_global_metrics(const MetricsRegistry& m) {
-  global_metrics().merge(m);
+  GlobalRegistry& g = global_registry();
+  const std::lock_guard<std::mutex> lock(g.mu);
+  g.registry.merge(m);
 }
 
-void add_global_counter(const std::string& name, std::uint64_t delta) {
-  global_metrics().add_counter(name, delta);
+MetricsRegistry global_metrics_snapshot() {
+  GlobalRegistry& g = global_registry();
+  const std::lock_guard<std::mutex> lock(g.mu);
+  return g.registry;
 }
 
-std::string global_metrics_json() { return global_metrics().to_json(); }
-
-void reset_global_metrics() { global_metrics().reset(); }
+void reset_global_metrics() {
+  GlobalRegistry& g = global_registry();
+  const std::lock_guard<std::mutex> lock(g.mu);
+  g.registry.clear();
+}
 
 // ---------------------------------------------------------------------------
 // Prometheus text exposition
@@ -593,10 +429,6 @@ std::string metrics_to_prometheus(const MetricsRegistry& m,
         << pn << "_count " << h.count() << '\n';
   }
   return out.str();
-}
-
-std::string global_metrics_prometheus(std::string_view prefix) {
-  return metrics_to_prometheus(global_metrics().snapshot_registry(), prefix);
 }
 
 }  // namespace stemcp::core

@@ -4,9 +4,10 @@
 // records, justifications, and a warning window (§4.2, ch. 6).  This header
 // extends that idea from "why does this value hold" to "what did the engine
 // do and how long did it take": structured trace events emitted by the
-// propagation engine, pluggable sinks (in-memory ring buffer, JSONL file,
-// Chrome trace-event export for chrome://tracing / Perfetto), and a metrics
-// registry with counters and log2-bucketed histograms.
+// propagation engine into a fixed-size ring, one Chrome trace-event writer
+// (chrome://tracing / Perfetto), and a metrics registry with counters and
+// log2-bucketed histograms.  The design service's request telemetry
+// (service/telemetry.h) is built on the same ring, writer and registry.
 //
 // Design constraints:
 //  * Zero cost when disabled.  Every emission site is guarded by an inlined
@@ -17,6 +18,7 @@
 //    snapshotting mid-run) see a consistent prefix.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <cstdint>
@@ -62,10 +64,10 @@ struct TraceEvent {
   TraceEventType type = TraceEventType::kSessionBegin;
   std::uint8_t priority = 0;      ///< agenda queue index where relevant
   std::uint64_t seq = 0;          ///< monotonically increasing per tracer
-  std::uint64_t timestamp_ns = 0; ///< steady-clock nanoseconds
+  std::uint64_t timestamp_ns = 0; ///< steady-clock ns (a span: its end)
   std::uint64_t duration_ns = 0;  ///< span length; 0 for instant events
   const void* subject = nullptr;  ///< constraint/variable identity (never
-                                  ///< dereferenced by sinks)
+                                  ///< dereferenced)
   char label[kLabelCapacity] = {};
 
   void set_label(std::string_view s);
@@ -73,65 +75,61 @@ struct TraceEvent {
 };
 
 // ---------------------------------------------------------------------------
-// Sinks
+// Ring buffer
 
-class TraceSink {
+/// Fixed-capacity single-writer ring that overwrites its oldest entry once
+/// full: the engine's trace events and each telemetry lane's request spans.
+/// One atomic write index, so another thread can snapshot while the writer
+/// runs; a slot overwritten during that copy may come out torn, which the
+/// flight recorder accepts in exchange for a lock-free writer.
+template <class T, std::size_t N>
+class RingBuffer {
+  static_assert(N > 0);
+
  public:
-  virtual ~TraceSink() = default;
-  virtual void consume(const TraceEvent& e) = 0;
-  virtual void flush() {}
-};
+  static constexpr std::size_t capacity() { return N; }
 
-/// Fixed-capacity ring that overwrites the oldest event once full.  One
-/// atomic write index; snapshot() returns events oldest-first.
-class RingBufferSink : public TraceSink {
- public:
-  explicit RingBufferSink(std::size_t capacity = 65536);
-
-  void consume(const TraceEvent& e) override;
-
-  std::size_t capacity() const { return buf_.size(); }
-  /// Total events ever consumed (monotonic; exceeds capacity after wrap).
-  std::uint64_t total_consumed() const {
-    return write_.load(std::memory_order_acquire);
+  void push(const T& v) {
+    const std::uint64_t w = write_.load(std::memory_order_relaxed);
+    slots_[w % N] = v;
+    write_.store(w + 1, std::memory_order_release);
   }
-  /// Events lost to wraparound.
-  std::uint64_t overwritten() const;
-  std::size_t size() const;
 
-  /// Copy of the retained events, oldest first.
-  std::vector<TraceEvent> snapshot() const;
-  void clear();
+  /// Entries ever pushed (exceeds capacity() after wraparound).
+  std::uint64_t total() const { return write_.load(std::memory_order_acquire); }
+  /// Entries lost to wraparound.
+  std::uint64_t overwritten() const {
+    const std::uint64_t t = total();
+    return t > N ? t - N : 0;
+  }
+  std::size_t size() const {
+    return static_cast<std::size_t>(std::min<std::uint64_t>(total(), N));
+  }
+
+  /// Copy of the retained entries, oldest first.
+  std::vector<T> snapshot() const {
+    const std::uint64_t t = total();
+    const std::uint64_t n = std::min<std::uint64_t>(t, N);
+    std::vector<T> out;
+    out.reserve(static_cast<std::size_t>(n));
+    for (std::uint64_t i = t - n; i < t; ++i) out.push_back(slots_[i % N]);
+    return out;
+  }
+  void clear() { write_.store(0, std::memory_order_release); }
 
  private:
-  std::vector<TraceEvent> buf_;
+  std::array<T, N> slots_{};
   std::atomic<std::uint64_t> write_{0};
 };
-
-/// Appends one JSON object per line (JSONL) to a file.  Buffered; flushed on
-/// flush() and destruction.
-class JsonlFileSink : public TraceSink {
- public:
-  explicit JsonlFileSink(const std::string& path);
-  ~JsonlFileSink() override;
-
-  bool ok() const;
-  void consume(const TraceEvent& e) override;
-  void flush() override;
-
- private:
-  struct Impl;
-  std::unique_ptr<Impl> impl_;
-};
-
-/// Serialize one event as a single-line JSON object (the JSONL row format).
-std::string trace_event_to_json(const TraceEvent& e);
 
 // ---------------------------------------------------------------------------
 // Tracer
 
 class Tracer {
  public:
+  static constexpr std::size_t kRingCapacity = 65536;
+  using EventRing = RingBuffer<TraceEvent, kRingCapacity>;
+
   Tracer();
   ~Tracer();
 
@@ -140,24 +138,22 @@ class Tracer {
 
   /// The one flag hot paths check (inlined single bool load).
   bool enabled() const { return enabled_; }
-  /// Enabling with no sink installed attaches a default ring buffer.
+  /// The first enable allocates the ring.
   void set_enabled(bool on);
 
-  void add_sink(std::shared_ptr<TraceSink> sink);
-  void clear_sinks();
-  /// The default ring buffer, if one was installed (by set_enabled or an
-  /// explicit add_sink of a RingBufferSink).  Null otherwise.
-  RingBufferSink* ring() const;
+  /// The event ring; null until tracing is first enabled, so a context that
+  /// never traces allocates none.
+  const EventRing* ring() const { return ring_.get(); }
 
   std::uint64_t events_emitted() const { return seq_; }
 
-  /// Build and dispatch one event; no-op while disabled.  `label` is
-  /// truncated into the event in place (no allocation).
+  /// Build and record one event; no-op while disabled.  `label` is
+  /// truncated into the event in place (no allocation).  The event is
+  /// stamped `timestamp_ns`, or now when that is 0; a span is stamped when
+  /// its work ended.
   void emit(TraceEventType type, std::string_view label,
             const void* subject = nullptr, std::uint64_t duration_ns = 0,
-            std::uint8_t priority = 0);
-
-  void flush();
+            std::uint8_t priority = 0, std::uint64_t timestamp_ns = 0);
 
   /// Steady-clock nanoseconds (the timebase of every event).
   static std::uint64_t now_ns();
@@ -165,22 +161,42 @@ class Tracer {
  private:
   bool enabled_ = false;
   std::uint64_t seq_ = 0;
-  std::vector<std::shared_ptr<TraceSink>> sinks_;
-  std::shared_ptr<RingBufferSink> default_ring_;
+  std::unique_ptr<EventRing> ring_;
 };
 
 // ---------------------------------------------------------------------------
 // Chrome trace-event export (chrome://tracing, Perfetto)
 
-/// Write events in Chrome trace-event JSON ("traceEvents" array form).
-/// Sessions become B/E duration pairs; checks and agenda runs become
-/// complete ("X") spans with their measured duration; everything else is an
-/// instant event.
+/// `s` as a quoted, escaped JSON string.
+std::string json_string(std::string_view s);
+
+/// One Chrome trace event.  `ts_ns` is where it starts: an X slice starts
+/// where its measured work started.
+struct ChromeEvent {
+  std::string_view name;
+  std::string_view cat;
+  char ph = 'i';             ///< 'B', 'E', 'X' (complete slice) or 'i'
+  std::uint64_t ts_ns = 0;
+  std::uint64_t dur_ns = 0;  ///< X slices only
+  unsigned tid = 1;
+  std::string_view args;     ///< members of the args object, already JSON
+};
+
+/// Append `e` to the body of a "traceEvents" array (`first` places the
+/// commas).  `ts` and `dur` print as fixed-point microseconds with three
+/// decimals, exact to the nanosecond at any clock value.  Engine exports and
+/// flight dumps both render through this one writer.
+void append_chrome_event(std::string& out, bool& first, const ChromeEvent& e);
+
+/// Write engine events as a Chrome trace document ("traceEvents" array
+/// form).  Sessions become B/E pairs; checks, agenda runs and request phases
+/// become complete ("X") slices over their measured duration; everything
+/// else is an instant event.
 void write_chrome_trace(const std::vector<TraceEvent>& events,
                         std::ostream& out);
 
-/// Convenience: snapshot the tracer's ring buffer and write it to `path`.
-/// Returns false when there is no ring sink or the file cannot be opened.
+/// Snapshot the tracer's ring and write it to `path`.  Returns false when
+/// tracing was never enabled or the file cannot be written.
 bool export_chrome_trace(const Tracer& tracer, const std::string& path);
 
 // ---------------------------------------------------------------------------
@@ -211,8 +227,8 @@ class Histogram {
   void merge(const Histogram& other);
   void clear();
 
-  /// Rebuild a histogram from raw parts.  Used by the process-global atomic
-  /// aggregation to snapshot its lock-free state into a plain value.
+  /// Rebuild a histogram from raw parts.  Used by ConcurrentHistogram to
+  /// snapshot its lock-free state into a plain value.
   static Histogram from_parts(const std::array<std::uint64_t, kBuckets>& buckets,
                               std::uint64_t count, std::uint64_t sum,
                               std::uint64_t min, std::uint64_t max);
@@ -234,15 +250,12 @@ class Histogram {
 /// snapshot() (one coherent load per field, rebuilt through
 /// Histogram::from_parts) and do the math on the plain value, so a
 /// percentile can never mix bucket counts from two different instants of a
-/// concurrent write storm.  This is the telemetry lane primitive (per-worker
-/// request-latency histograms, docs/OBSERVABILITY.md) and the slot type of
-/// the process-global aggregation below.
+/// concurrent write storm.  This is the telemetry lanes' recorder (per-worker
+/// request-latency histograms, docs/OBSERVABILITY.md).
 class ConcurrentHistogram {
  public:
   /// Allocation-free; safe from any thread.
   void record(std::uint64_t value);
-  /// Fold a plain histogram in (the global-aggregation path).
-  void merge(const Histogram& h);
 
   std::uint64_t count() const { return count_.load(std::memory_order_relaxed); }
 
@@ -260,7 +273,7 @@ class ConcurrentHistogram {
 
 /// Named monotonic counters plus named histograms, snapshotable to JSON.
 /// Not thread-safe (one registry per engine context); the process-global
-/// aggregation helpers below are.
+/// registry below is.
 class MetricsRegistry {
  public:
   MetricsRegistry() : generation_(next_global_stamp()) {}
@@ -311,15 +324,14 @@ class MetricsRegistry {
   std::map<std::string, Histogram> histograms_;
 };
 
-/// Process-global registry: engine contexts fold their lifetime statistics
-/// into it on destruction so benchmark binaries can emit one machine-readable
-/// stats JSON per run, and concurrent design-service sessions aggregate here
-/// when they close.  Fully thread-safe: counter values and histogram buckets
-/// are atomics, so concurrent merges never serialize on a value lock (a
-/// shared mutex guards only the name→slot map shape).
+/// The process-global registry, one MetricsRegistry behind one mutex: engine
+/// contexts fold their lifetime statistics into it on destruction, so
+/// benchmark binaries can emit one machine-readable stats JSON per run, and
+/// concurrent design-service sessions aggregate here when they close.
+/// Thread-safe.
 void merge_into_global_metrics(const MetricsRegistry& m);
-void add_global_counter(const std::string& name, std::uint64_t delta);
-std::string global_metrics_json();
+/// A copy of the process-global registry.
+MetricsRegistry global_metrics_snapshot();
 void reset_global_metrics();
 
 // ---------------------------------------------------------------------------
@@ -328,11 +340,10 @@ void reset_global_metrics();
 /// Render a registry in the Prometheus text format: counters become
 /// `<prefix><name> <value>`, histograms become cumulative `_bucket{le=...}`
 /// series over the non-empty log2 buckets plus `_sum` / `_count`.  Metric
-/// names are sanitized to [a-zA-Z0-9_:] (dots become underscores).
+/// names are sanitized to [a-zA-Z0-9_:] (dots become underscores).  Render
+/// one merged registry, never two concatenated: the format allows each
+/// family once.
 std::string metrics_to_prometheus(const MetricsRegistry& m,
                                   std::string_view prefix = "stemcp_");
-
-/// The process-global registry in Prometheus text format.
-std::string global_metrics_prometheus(std::string_view prefix = "stemcp_");
 
 }  // namespace stemcp::core

@@ -1129,11 +1129,7 @@ DesignService::DesignService(Config cfg)
         return cfg;
       }()),
       telemetry_(cfg_.shards * cfg_.workers_per_shard,
-                 [&] {
-                   TelemetryRecorder::Config t;
-                   t.lanes_per_shard = cfg_.workers_per_shard;
-                   return t;
-                 }()),
+                 cfg_.workers_per_shard),
       sessions_(std::make_unique<ShardedSessionManager>(
           cfg_.shards, cfg_.workers_per_shard, cfg_.journal_root,
           [this](std::size_t shard, std::size_t worker,
@@ -1247,9 +1243,10 @@ Response DesignService::execute(const Request& r, RequestSpan* span,
   if (span != nullptr) span->t_work_done = core::Tracer::now_ns();
   const PendingDurability pending =
       journal_mutation(*s, std::move(logged), resp, span);
-  // While the session traces, its request phases land in the same sinks as
-  // the engine's own events, so a Chrome-trace export shows queue/lock/
-  // propagate/journal slices interleaved with the propagation waves.
+  // While the session traces, its request phases land in the same ring as
+  // the engine's own events, each at the span's own stamps, so a
+  // Chrome-trace export shows queue/lock/propagate/journal slices around
+  // the propagation waves they contain.
   core::Tracer& tracer = s->library().context().tracer();
   if (span != nullptr && tracer.enabled()) {
     static const Phase kEmit[] = {Phase::kQueue, Phase::kLock,
@@ -1263,7 +1260,7 @@ Response DesignService::execute(const Request& r, RequestSpan* span,
                     static_cast<unsigned long long>(span->request_id),
                     to_string(p));
       tracer.emit(core::TraceEventType::kRequestPhase, label, nullptr, dur,
-                  static_cast<std::uint8_t>(p));
+                  static_cast<std::uint8_t>(p), span->phase_start(p) + dur);
     }
   }
   // Group commit: the response promise resolves from the flush completion.

@@ -389,8 +389,9 @@ std::string ServiceFrontEnd::execute(const std::string& line) {
   if (verb == "export-metrics") {
     std::string path;
     peek >> path;
-    const std::string text =
-        svc_->telemetry().prometheus() + core::global_metrics_prometheus();
+    core::MetricsRegistry all = svc_->telemetry().fold();
+    all.merge(core::global_metrics_snapshot());
+    const std::string text = core::metrics_to_prometheus(all);
     if (path.empty()) return text;
     std::string werror;
     if (!persist::atomic_write_file(path, text, &werror)) {

@@ -72,74 +72,52 @@ std::uint64_t RequestSpan::phase_ns(Phase p) const {
   return 0;
 }
 
-// ---------------------------------------------------------------------------
-// Chrome trace-event rendering (the flight-dump format)
-
-namespace {
-
-void append_escaped(std::string& out, std::string_view s) {
-  for (const char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (static_cast<unsigned char>(c) >= 0x20) {
-      out += c;
-    }
+std::uint64_t RequestSpan::phase_start(Phase p) const {
+  // The flush side leads into t_journal_done: the flush-wait slice, then
+  // the fsync slice, tile [t_journal_done - flush_wait_ns, t_journal_done].
+  const auto before_journal_done = [this](std::uint64_t ns) {
+    return t_journal_done > ns ? t_journal_done - ns : t_journal_done;
+  };
+  switch (p) {
+    case Phase::kQueue: return t_enqueue;
+    case Phase::kLock: return t_dequeue;
+    case Phase::kPropagate: return t_lock;
+    case Phase::kJournal: return t_work_done;
+    case Phase::kFsync: return before_journal_done(fsync_ns);
+    case Phase::kFlushWait: return before_journal_done(flush_wait_ns);
+    case Phase::kReply:
+      return t_journal_done != 0 ? t_journal_done : t_work_done;
+    case Phase::kTotal: return t_enqueue;
   }
+  return 0;
 }
-
-void append_x_event(std::string& out, bool& first, const char* name,
-                    std::uint64_t ts_ns, std::uint64_t dur_ns,
-                    const RequestSpan& span) {
-  if (!first) out += ",\n";
-  first = false;
-  char buf[192];
-  std::snprintf(buf, sizeof buf,
-                "{\"name\":\"%s\",\"cat\":\"request\",\"ph\":\"X\","
-                "\"ts\":%.3f,\"dur\":%.3f,\"pid\":1,\"tid\":%u,"
-                "\"args\":{\"id\":%" PRIu64 ",\"type\":\"%s\",\"shard\":%u,"
-                "\"session\":\"",
-                name, static_cast<double>(ts_ns) / 1000.0,
-                static_cast<double>(dur_ns) / 1000.0,
-                static_cast<unsigned>(span.lane), span.request_id,
-                span_type_name(span.type), static_cast<unsigned>(span.shard));
-  out += buf;
-  append_escaped(out, span.session_view());
-  std::snprintf(buf, sizeof buf, "\",\"ok\":%s,\"violation\":%s}}",
-                span.ok ? "true" : "false",
-                span.violation ? "true" : "false");
-  out += buf;
-}
-
-}  // namespace
 
 void append_span_trace_events(const RequestSpan& span, std::string& out,
                               bool& first) {
+  std::string args = "\"id\":" + std::to_string(span.request_id) +
+                     ",\"type\":\"" + span_type_name(span.type) +
+                     "\",\"shard\":" + std::to_string(span.shard) +
+                     ",\"session\":" + core::json_string(span.session_view());
+  args += span.ok ? ",\"ok\":true" : ",\"ok\":false";
+  args += span.violation ? ",\"violation\":true" : ",\"violation\":false";
+
+  core::ChromeEvent e;
+  e.cat = "request";
+  e.ph = 'X';
+  e.tid = span.lane;
+  e.args = args;
   // The enclosing request slice, then one slice per non-empty phase.
-  append_x_event(out, first, "request", span.t_enqueue, span.total_ns(), span);
-  const struct {
-    Phase phase;
-    std::uint64_t start;
-  } rows[] = {
-      {Phase::kQueue, span.t_enqueue},
-      {Phase::kLock, span.t_dequeue},
-      {Phase::kPropagate, span.t_lock},
-      {Phase::kJournal, span.t_work_done},
-      {Phase::kFsync, span.t_journal_done > span.fsync_ns
-                          ? span.t_journal_done - span.fsync_ns
-                          : span.t_journal_done},
-      // The flush-wait slice leads into the fsync slice: together they
-      // tile [t_journal_done - flush_wait_ns, t_journal_done].
-      {Phase::kFlushWait, span.t_journal_done > span.flush_wait_ns
-                              ? span.t_journal_done - span.flush_wait_ns
-                              : span.t_journal_done},
-      {Phase::kReply, span.t_journal_done != 0 ? span.t_journal_done
-                                               : span.t_work_done},
-  };
-  for (const auto& row : rows) {
-    const std::uint64_t dur = span.phase_ns(row.phase);
-    if (dur == 0 || row.start == 0) continue;
-    append_x_event(out, first, to_string(row.phase), row.start, dur, span);
+  e.name = "request";
+  e.ts_ns = span.t_enqueue;
+  e.dur_ns = span.total_ns();
+  core::append_chrome_event(out, first, e);
+  for (std::size_t p = 0; p + 1 < kPhaseCount; ++p) {
+    const Phase phase = static_cast<Phase>(p);
+    e.ts_ns = span.phase_start(phase);
+    e.dur_ns = span.phase_ns(phase);
+    if (e.dur_ns == 0 || e.ts_ns == 0) continue;
+    e.name = to_string(phase);
+    core::append_chrome_event(out, first, e);
   }
 }
 
@@ -147,35 +125,20 @@ void append_span_trace_events(const RequestSpan& span, std::string& out,
 // TelemetryRecorder
 
 struct TelemetryRecorder::Lane {
-  explicit Lane(std::size_t capacity) : ring(capacity == 0 ? 1 : capacity) {}
-
-  // Single-writer span ring (the owning worker); cross-thread readers are
-  // flight dumps only, which tolerate a torn slot in exchange for a
-  // lock-free record path.
-  std::vector<RequestSpan> ring;
-  std::atomic<std::uint64_t> write{0};
-
+  // Written by the owning worker only; a flight dump reading another lane
+  // tolerates a torn slot in exchange for a lock-free record path.
+  core::RingBuffer<RequestSpan, kFlightCapacity> ring;
   core::ConcurrentHistogram phase[kPhaseCount];
   core::ConcurrentHistogram by_type[kSpanTypeCount];
   std::atomic<std::uint64_t> requests{0};
   std::atomic<std::uint64_t> violations{0};
 };
 
-TelemetryRecorder::TelemetryRecorder(std::size_t lanes, Config cfg)
-    : cfg_(std::move(cfg)) {
-  enabled_.store(cfg_.enabled, std::memory_order_relaxed);
-  slow_threshold_ns_.store(cfg_.slow_threshold_ns, std::memory_order_relaxed);
-  dump_base_ = cfg_.dump_base;
-  keep_last_dump_ = cfg_.keep_last_dump;
-  if (!cfg_.dump_base.empty() || cfg_.slow_threshold_ns != 0 ||
-      cfg_.keep_last_dump) {
-    armed_.store(true, std::memory_order_relaxed);
-  }
-  if (lanes == 0) lanes = 1;
-  lanes_.reserve(lanes);
-  for (std::size_t i = 0; i < lanes; ++i) {
-    lanes_.push_back(std::make_unique<Lane>(cfg_.flight_capacity));
-  }
+TelemetryRecorder::TelemetryRecorder(std::size_t lanes,
+                                     std::size_t lanes_per_shard)
+    : lanes_per_shard_(std::max<std::size_t>(lanes_per_shard, 1)) {
+  lanes_.resize(std::max<std::size_t>(lanes, 1));
+  for (auto& lane : lanes_) lane = std::make_unique<Lane>();
 }
 
 TelemetryRecorder::~TelemetryRecorder() = default;
@@ -184,10 +147,7 @@ void TelemetryRecorder::record(std::size_t lane_idx, const RequestSpan& span) {
   if (!enabled()) return;
   Lane& lane = *lanes_[lane_idx % lanes_.size()];
 
-  const std::uint64_t w = lane.write.load(std::memory_order_relaxed);
-  lane.ring[w % lane.ring.size()] = span;
-  lane.write.store(w + 1, std::memory_order_release);
-
+  lane.ring.push(span);
   for (std::size_t p = 0; p < kPhaseCount; ++p) {
     const Phase phase = static_cast<Phase>(p);
     // Journal phases only exist for requests that actually appended; not
@@ -217,8 +177,7 @@ void TelemetryRecorder::record(std::size_t lane_idx, const RequestSpan& span) {
   }
   if (reason == nullptr) return;
   anomalies_.fetch_add(1, std::memory_order_relaxed);
-  if (dumps_.load(std::memory_order_relaxed) >= cfg_.max_dumps) return;
-  anomaly_dump(reason);
+  dump_flight(reason, /*anomaly=*/true);
 }
 
 std::uint64_t TelemetryRecorder::requests_recorded() const {
@@ -261,25 +220,22 @@ core::MetricsRegistry TelemetryRecorder::fold() const {
   // shard's view is just a contiguous slice of the same lane fold — no
   // extra recording on the hot path, and the union across shards equals
   // the global fold exactly (bucket merges are associative).
-  if (cfg_.lanes_per_shard > 0) {
-    const std::size_t lps = cfg_.lanes_per_shard;
-    const std::size_t shards = (lanes_.size() + lps - 1) / lps;
-    for (std::size_t s = 0; s < shards; ++s) {
-      std::uint64_t requests = 0;
-      std::uint64_t violations = 0;
-      core::Histogram e2e;
-      for (std::size_t l = s * lps; l < std::min((s + 1) * lps, lanes_.size());
-           ++l) {
-        requests += lanes_[l]->requests.load(std::memory_order_relaxed);
-        violations += lanes_[l]->violations.load(std::memory_order_relaxed);
-        e2e.merge(lanes_[l]->phase[static_cast<std::size_t>(Phase::kTotal)]
-                      .snapshot());
-      }
-      const std::string prefix = "svc.shard." + std::to_string(s) + ".";
-      out.add_counter(prefix + "requests", requests);
-      out.add_counter(prefix + "violations", violations);
-      if (e2e.count() != 0) out.histogram(prefix + "e2e_ns") = e2e;
+  const std::size_t lps = lanes_per_shard_;
+  for (std::size_t s = 0; s * lps < lanes_.size(); ++s) {
+    std::uint64_t requests = 0;
+    std::uint64_t violations = 0;
+    core::Histogram e2e;
+    for (std::size_t l = s * lps; l < std::min((s + 1) * lps, lanes_.size());
+         ++l) {
+      requests += lanes_[l]->requests.load(std::memory_order_relaxed);
+      violations += lanes_[l]->violations.load(std::memory_order_relaxed);
+      e2e.merge(
+          lanes_[l]->phase[static_cast<std::size_t>(Phase::kTotal)].snapshot());
     }
+    const std::string prefix = "svc.shard." + std::to_string(s) + ".";
+    out.add_counter(prefix + "requests", requests);
+    out.add_counter(prefix + "violations", violations);
+    if (e2e.count() != 0) out.histogram(prefix + "e2e_ns") = e2e;
   }
   out.add_counter("svc.telemetry.requests", requests_recorded());
   out.add_counter("svc.telemetry.violations", violations_recorded());
@@ -335,11 +291,9 @@ std::string TelemetryRecorder::latency_table() const {
     }
     table_row(out, name, *h);
   }
-  if (cfg_.lanes_per_shard > 0 && lanes_.size() > cfg_.lanes_per_shard) {
+  if (lanes_.size() > lanes_per_shard_) {
     out << "per-shard end-to-end (ns)\n";
-    const std::size_t shards =
-        (lanes_.size() + cfg_.lanes_per_shard - 1) / cfg_.lanes_per_shard;
-    for (std::size_t s = 0; s < shards; ++s) {
+    for (std::size_t s = 0; s * lanes_per_shard_ < lanes_.size(); ++s) {
       const auto* h = reg.find_histogram("svc.shard." + std::to_string(s) +
                                          ".e2e_ns");
       if (h != nullptr) table_row(out, "shard " + std::to_string(s), *h);
@@ -352,19 +306,11 @@ std::string TelemetryRecorder::latency_table() const {
   return out.str();
 }
 
-std::string TelemetryRecorder::prometheus() const {
-  return core::metrics_to_prometheus(fold());
-}
-
 std::vector<RequestSpan> TelemetryRecorder::recent_spans() const {
   std::vector<RequestSpan> out;
   for (const auto& lane : lanes_) {
-    const std::uint64_t total = lane->write.load(std::memory_order_acquire);
-    const std::uint64_t n =
-        std::min<std::uint64_t>(total, lane->ring.size());
-    for (std::uint64_t i = total - n; i < total; ++i) {
-      out.push_back(lane->ring[i % lane->ring.size()]);
-    }
+    const std::vector<RequestSpan> spans = lane->ring.snapshot();
+    out.insert(out.end(), spans.begin(), spans.end());
   }
   std::sort(out.begin(), out.end(),
             [](const RequestSpan& a, const RequestSpan& b) {
@@ -377,12 +323,10 @@ std::vector<RequestSpan> TelemetryRecorder::recent_spans() const {
 // Flight recorder
 
 void TelemetryRecorder::arm_flight(std::string dump_base,
-                                   std::uint64_t slow_threshold_ns,
-                                   bool keep_last_dump) {
+                                   std::uint64_t slow_threshold_ns) {
   {
     const std::lock_guard<std::mutex> lock(dump_mu_);
     dump_base_ = std::move(dump_base);
-    keep_last_dump_ = keep_last_dump;
   }
   slow_threshold_ns_.store(slow_threshold_ns, std::memory_order_relaxed);
   armed_.store(true, std::memory_order_release);
@@ -393,23 +337,21 @@ void TelemetryRecorder::disarm_flight() {
   slow_threshold_ns_.store(0, std::memory_order_relaxed);
 }
 
-std::string TelemetryRecorder::render_dump(const std::string& reason) const {
-  std::string out;
-  out += "{\"reason\":\"";
-  append_escaped(out, reason);
-  out += "\",\"traceEvents\":[\n";
+std::string TelemetryRecorder::dump_flight(const std::string& reason,
+                                           bool anomaly) {
+  const std::lock_guard<std::mutex> lock(dump_mu_);
+  // Checked and counted under the lock, so concurrent anomalies cannot
+  // overshoot the cap.
+  const std::uint64_t n = dumps_.load(std::memory_order_relaxed);
+  if (anomaly && n >= kMaxDumps) return {};
+  dumps_.store(n + 1, std::memory_order_relaxed);
+  std::string doc =
+      "{\"reason\":" + core::json_string(reason) + ",\"traceEvents\":[\n";
   bool first = true;
   for (const RequestSpan& span : recent_spans()) {
-    append_span_trace_events(span, out, first);
+    append_span_trace_events(span, doc, first);
   }
-  out += "\n],\"displayTimeUnit\":\"ns\"}\n";
-  return out;
-}
-
-std::string TelemetryRecorder::dump_flight(const std::string& reason) {
-  const std::lock_guard<std::mutex> lock(dump_mu_);
-  const std::uint64_t n = dumps_.fetch_add(1, std::memory_order_relaxed);
-  std::string doc = render_dump(reason);
+  doc += "\n],\"displayTimeUnit\":\"ns\"}\n";
   if (!dump_base_.empty()) {
     std::ofstream f(dump_base_ + "." + std::to_string(n) + ".trace.json",
                     std::ios::out | std::ios::trunc);
@@ -418,19 +360,6 @@ std::string TelemetryRecorder::dump_flight(const std::string& reason) {
   last_dump_ = doc;
   last_dump_reason_ = reason;
   return doc;
-}
-
-void TelemetryRecorder::anomaly_dump(const char* reason) {
-  const std::lock_guard<std::mutex> lock(dump_mu_);
-  const std::uint64_t n = dumps_.fetch_add(1, std::memory_order_relaxed);
-  const std::string doc = render_dump(reason);
-  if (!dump_base_.empty()) {
-    std::ofstream f(dump_base_ + "." + std::to_string(n) + ".trace.json",
-                    std::ios::out | std::ios::trunc);
-    f << doc;
-  }
-  if (keep_last_dump_) last_dump_ = doc;
-  last_dump_reason_ = reason;
 }
 
 std::string TelemetryRecorder::last_dump() const {

@@ -8,19 +8,19 @@
 //   enqueue → dequeue (queue wait) → session-lock acquired (lock wait)
 //           → propagate/work done → journal append + fsync → reply
 //
-// Workers record completed spans into per-worker *lanes* — a fixed-size
-// span ring plus lock-free ConcurrentHistograms per phase and per request
-// type — so the steady-state record path takes no lock and performs ZERO
-// heap allocations (tests/core/hotpath_test.cpp counts).  Readers fold the
-// lanes into a plain MetricsRegistry snapshot (percentiles are computed on
-// bucket snapshots via Histogram::from_parts, never on the live atomics)
-// for the `stats --latency` view, the Prometheus exposition
+// Workers record completed spans into per-worker *lanes* — a
+// core::RingBuffer of spans plus lock-free ConcurrentHistograms per phase and
+// per request type — so the steady-state record path takes no lock and
+// performs ZERO heap allocations (tests/core/hotpath_test.cpp counts).
+// Readers fold the lanes into a plain MetricsRegistry snapshot (percentiles
+// are computed on bucket snapshots via Histogram::from_parts, never on the
+// live atomics) for the `stats --latency` view, the Prometheus exposition
 // (`export-metrics`), and the consolidated bench JSON.
 //
-// The flight recorder keeps the last N spans per lane and, when armed,
-// dumps them as a Chrome trace-event file on anomaly: a violation wave, a
-// journal going dead mid-append, or any request slower than the configured
-// threshold.  See docs/OBSERVABILITY.md.
+// The flight recorder keeps the last 256 spans per lane and, when armed,
+// dumps them through core's Chrome trace writer on anomaly: a violation
+// wave, a journal going dead mid-append, or any request slower than the
+// armed threshold.  See docs/OBSERVABILITY.md.
 #pragma once
 
 #include <atomic>
@@ -88,35 +88,29 @@ struct RequestSpan {
 
   /// Duration of one phase in ns; missing boundaries contribute 0.
   std::uint64_t phase_ns(Phase p) const;
+  /// Where phase p starts (0 when its boundary was never reached): its slice
+  /// in a trace is [phase_start(p), phase_start(p) + phase_ns(p)].
+  std::uint64_t phase_start(Phase p) const;
   std::uint64_t total_ns() const {
     return t_reply > t_enqueue ? t_reply - t_enqueue : 0;
   }
 };
 
-/// Serialize one span as Chrome trace-event JSON objects (one "X" slice per
-/// non-empty phase, tid = lane) appended to `out`; `first` tracks comma
-/// placement across calls.
+/// Render one span through core::append_chrome_event: a "request" X slice
+/// plus one per non-empty phase, tid = lane.
 void append_span_trace_events(const RequestSpan& span, std::string& out,
                               bool& first);
 
 class TelemetryRecorder {
  public:
-  struct Config {
-    bool enabled = true;
-    std::size_t flight_capacity = 256;   ///< spans retained per lane ring
-    std::uint64_t slow_threshold_ns = 0; ///< 0 = slow-request anomaly off
-    std::string dump_base;               ///< non-empty: dump files "<base>.<n>.trace.json"
-    bool keep_last_dump = false;         ///< retain the last dump JSON in memory
-    std::uint64_t max_dumps = 64;        ///< hard cap on anomaly dumps
-    /// Lanes-per-shard grouping: when > 0, lane i belongs to shard
-    /// i / lanes_per_shard and fold() additionally emits per-shard
-    /// aggregates (`svc.shard.<i>.*`).  0 = no shard grouping.
-    std::size_t lanes_per_shard = 0;
-  };
+  /// Spans each lane's flight ring retains.
+  static constexpr std::size_t kFlightCapacity = 256;
+  /// Anomaly dumps written before the recorder stops dumping, so an anomaly
+  /// storm cannot fill the disk.  Manual dumps are never refused.
+  static constexpr std::uint64_t kMaxDumps = 64;
 
-  TelemetryRecorder(std::size_t lanes, Config cfg);
-  explicit TelemetryRecorder(std::size_t lanes)
-      : TelemetryRecorder(lanes, Config()) {}
+  /// `lanes` worker lanes; lane i belongs to shard i / lanes_per_shard.
+  TelemetryRecorder(std::size_t lanes, std::size_t lanes_per_shard);
   ~TelemetryRecorder();
 
   TelemetryRecorder(const TelemetryRecorder&) = delete;
@@ -148,20 +142,16 @@ class TelemetryRecorder {
   /// Fold every lane into a plain registry: histograms
   /// `svc.lat.<phase>_ns` (one per phase) and `svc.lat.e2e.<type>_ns`
   /// (end-to-end per request type, only types that occurred), counters
-  /// `svc.telemetry.{requests,violations,anomalies,dumps}`.  With
-  /// Config::lanes_per_shard set, also per-shard aggregates: counters
-  /// `svc.shard.<i>.requests` / `.violations` and histogram
-  /// `svc.shard.<i>.e2e_ns`.  Because lanes fold by exact bucket merge
-  /// (Histogram::from_parts), the sharded fold equals a single-recorder
-  /// fold of the union of spans — tested as a property in
+  /// `svc.telemetry.{requests,violations,anomalies,dumps}`, and per-shard
+  /// aggregates: counters `svc.shard.<i>.requests` / `.violations` and
+  /// histogram `svc.shard.<i>.e2e_ns`.  Because lanes fold by exact bucket
+  /// merge (Histogram::from_parts), the sharded fold equals a
+  /// single-recorder fold of the union of spans — tested as a property in
   /// tests/service/telemetry_test.cpp.
   core::MetricsRegistry fold() const;
 
   /// Human-readable per-phase / per-type percentile table (p50/p90/p99/p999).
   std::string latency_table() const;
-
-  /// The folded registry in Prometheus text format.
-  std::string prometheus() const;
 
   /// All retained spans, oldest request id first.
   std::vector<RequestSpan> recent_spans() const;
@@ -171,30 +161,27 @@ class TelemetryRecorder {
   /// Arm anomaly dumping: `dump_base` receives "<base>.<n>.trace.json"
   /// files (empty = in-memory only), `slow_threshold_ns` flags requests
   /// slower than the threshold (0 keeps the slow check off).
-  void arm_flight(std::string dump_base, std::uint64_t slow_threshold_ns,
-                  bool keep_last_dump = true);
+  void arm_flight(std::string dump_base, std::uint64_t slow_threshold_ns);
   void disarm_flight();
   bool flight_armed() const { return armed_.load(std::memory_order_relaxed); }
   std::uint64_t slow_threshold_ns() const {
     return slow_threshold_ns_.load(std::memory_order_relaxed);
   }
 
-  /// Dump the flight ring now (manual trigger).  Returns the dump JSON.
-  std::string dump_flight(const std::string& reason);
+  /// Dump the flight rings as one Chrome trace document, write it to the
+  /// armed base, and keep it as last_dump().  An anomaly dump is refused
+  /// (returns "") once kMaxDumps dumps were written.
+  std::string dump_flight(const std::string& reason, bool anomaly = false);
 
   std::uint64_t dumps() const { return dumps_.load(std::memory_order_relaxed); }
-  /// Last dump document / reason (empty until a dump happened with
-  /// keep_last_dump set, or a manual dump ran).
+  /// Last dump document / reason (empty until a dump happened).
   std::string last_dump() const;
   std::string last_dump_reason() const;
 
  private:
   struct Lane;
 
-  std::string render_dump(const std::string& reason) const;
-  void anomaly_dump(const char* reason);
-
-  Config cfg_;
+  std::size_t lanes_per_shard_;
   std::atomic<bool> enabled_{true};
   std::atomic<bool> armed_{false};
   std::atomic<std::uint64_t> next_id_{0};
@@ -205,7 +192,6 @@ class TelemetryRecorder {
 
   mutable std::mutex dump_mu_;  ///< serializes (rare) dumps and their config
   std::string dump_base_;
-  bool keep_last_dump_ = false;
   std::string last_dump_;
   std::string last_dump_reason_;
 };

@@ -144,8 +144,9 @@ std::string ConstraintShell::execute(const std::string& command_line) {
     if (service_handler_) return service_handler_("export-metrics " + path);
     std::ofstream f(path, std::ios::out | std::ios::trunc);
     if (!f.good()) return "error: could not write '" + path + "'\n";
-    f << core::metrics_to_prometheus(ctx_->metrics())
-      << core::global_metrics_prometheus();
+    core::MetricsRegistry all = core::global_metrics_snapshot();
+    all.merge(ctx_->metrics());
+    f << core::metrics_to_prometheus(all);
     return "metrics written to " + path + "\n";
   }
 

@@ -188,7 +188,7 @@ TEST(HotPathTest, TimingHandlesSurviveRegistryClear) {
 // updates.  Steady state must add ZERO heap allocations per request (the
 // lanes and rings are sized at construction).
 TEST(HotPathTest, TelemetryRecordAllocatesNothing) {
-  service::TelemetryRecorder rec(2);
+  service::TelemetryRecorder rec(2, 1);
   service::RequestSpan span;
   span.set_session("hotpath");
   span.type = 3;  // kAssign

@@ -212,20 +212,17 @@ TEST(GlobalMetricsTest, ConcurrentMergesLoseNothing) {
         m.add_counter("per_thread_" + std::to_string(t), 1);
         m.histogram("lat").record(static_cast<std::uint64_t>(i + 1));
         merge_into_global_metrics(m);
-        add_global_counter("direct", 3);
       }
     });
   }
   for (auto& th : threads) th.join();
 
-  const std::string json = global_metrics_json();
+  const std::string json = global_metrics_snapshot().to_json();
   const auto expect_count = [&json](const std::string& needle) {
     EXPECT_NE(json.find(needle), std::string::npos) << needle << " in " << json;
   };
   expect_count("\"shared\":" +
                std::to_string(2 * kThreads * kMergesPerThread));
-  expect_count("\"direct\":" +
-               std::to_string(3 * kThreads * kMergesPerThread));
   for (int t = 0; t < kThreads; ++t) {
     expect_count("\"per_thread_" + std::to_string(t) +
                  "\":" + std::to_string(kMergesPerThread));
@@ -236,7 +233,7 @@ TEST(GlobalMetricsTest, ConcurrentMergesLoseNothing) {
   expect_count("\"max\":" + std::to_string(kMergesPerThread));
 
   reset_global_metrics();
-  EXPECT_EQ(global_metrics_json().find("shared"), std::string::npos);
+  EXPECT_EQ(global_metrics_snapshot().counter("shared"), 0u);
 }
 
 // ---- Histogram percentile math (request-telemetry reads these) ----------

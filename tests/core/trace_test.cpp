@@ -1,5 +1,5 @@
-// Propagation tracing & metrics: structured event stream, sinks, Chrome
-// trace export, and the zero-cost-when-disabled guarantee.
+// Propagation tracing & metrics: structured event stream, the event ring,
+// Chrome trace export, and the zero-cost-when-disabled guarantee.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -80,11 +80,12 @@ TEST_F(TraceTest, DisabledTracerEmitsNothing) {
 
 TEST_F(TraceTest, EmitIsNoOpWhileDisabled) {
   Tracer t;
-  auto ring = std::make_shared<RingBufferSink>(16);
-  t.add_sink(ring);
+  t.set_enabled(true);
+  t.set_enabled(false);
   t.emit(TraceEventType::kAssignment, "x");
   EXPECT_EQ(t.events_emitted(), 0u);
-  EXPECT_EQ(ring->total_consumed(), 0u);
+  ASSERT_NE(t.ring(), nullptr);
+  EXPECT_EQ(t.ring()->total(), 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -187,15 +188,15 @@ TEST_F(TraceTest, NetworkEditsAreTraced) {
 // ---------------------------------------------------------------------------
 // Ring buffer
 
-TEST(RingBufferSinkTest, WraparoundKeepsNewestAndCountsOverwritten) {
-  RingBufferSink ring(4);
+TEST(RingBufferTest, WraparoundKeepsNewestAndCountsOverwritten) {
+  RingBuffer<TraceEvent, 4> ring;
   for (std::uint64_t i = 0; i < 10; ++i) {
     TraceEvent e;
     e.seq = i;
-    ring.consume(e);
+    ring.push(e);
   }
   EXPECT_EQ(ring.capacity(), 4u);
-  EXPECT_EQ(ring.total_consumed(), 10u);
+  EXPECT_EQ(ring.total(), 10u);
   EXPECT_EQ(ring.overwritten(), 6u);
   EXPECT_EQ(ring.size(), 4u);
   const auto events = ring.snapshot();
@@ -205,25 +206,25 @@ TEST(RingBufferSinkTest, WraparoundKeepsNewestAndCountsOverwritten) {
   }
 }
 
-TEST(RingBufferSinkTest, ClearResets) {
-  RingBufferSink ring(4);
+TEST(RingBufferTest, ClearResets) {
+  RingBuffer<TraceEvent, 4> ring;
   TraceEvent e;
-  ring.consume(e);
+  ring.push(e);
   ring.clear();
   EXPECT_EQ(ring.size(), 0u);
   EXPECT_TRUE(ring.snapshot().empty());
 }
 
 TEST_F(TraceTest, EngineWraparoundUnderSmallRing) {
-  auto ring = std::make_shared<RingBufferSink>(8);
-  ctx.tracer().add_sink(ring);
   ctx.tracer().set_enabled(true);
   Variable a(ctx, "t", "a"), b(ctx, "t", "b");
   EqualityConstraint::among(ctx, {&a, &b});
-  for (int i = 1; i <= 20; ++i) EXPECT_TRUE(a.set_user(Value(i)));
-  EXPECT_GT(ring->overwritten(), 0u);
-  const auto events = ring->snapshot();
-  EXPECT_EQ(events.size(), 8u);
+  // Each assignment session emits several events: 20,000 sessions wrap the
+  // tracer's 65,536-event ring.
+  for (int i = 1; i <= 20000; ++i) ASSERT_TRUE(a.set_user(Value(i)));
+  EXPECT_GT(ctx.tracer().ring()->overwritten(), 0u);
+  const auto events = ctx.tracer().ring()->snapshot();
+  EXPECT_EQ(events.size(), Tracer::kRingCapacity);
   // The retained suffix still has strictly increasing sequence numbers.
   for (std::size_t i = 1; i < events.size(); ++i) {
     EXPECT_EQ(events[i].seq, events[i - 1].seq + 1);
@@ -231,32 +232,7 @@ TEST_F(TraceTest, EngineWraparoundUnderSmallRing) {
 }
 
 // ---------------------------------------------------------------------------
-// Sinks and export formats
-
-TEST_F(TraceTest, JsonlSinkWritesOneObjectPerLine) {
-  const std::string path = ::testing::TempDir() + "/stemcp_trace_test.jsonl";
-  {
-    auto sink = std::make_shared<JsonlFileSink>(path);
-    ASSERT_TRUE(sink->ok());
-    ctx.tracer().add_sink(sink);
-    ctx.tracer().set_enabled(true);
-    Variable a(ctx, "t", "a");
-    EXPECT_TRUE(a.set_user(Value(1)));
-    ctx.tracer().flush();
-  }
-  std::ifstream in(path);
-  ASSERT_TRUE(in.good());
-  std::string line;
-  std::size_t lines = 0;
-  while (std::getline(in, line)) {
-    ++lines;
-    EXPECT_TRUE(json_balanced(line)) << line;
-    EXPECT_EQ(line.front(), '{');
-    EXPECT_EQ(line.back(), '}');
-  }
-  EXPECT_EQ(lines, ctx.tracer().events_emitted());
-  std::remove(path.c_str());
-}
+// Chrome trace export
 
 TEST_F(TraceTest, ChromeTraceExportIsWellFormed) {
   ctx.tracer().set_enabled(true);
@@ -294,6 +270,27 @@ TEST_F(TraceTest, ExportChromeTraceToFile) {
   buf << in.rdbuf();
   EXPECT_TRUE(json_balanced(buf.str()));
   std::remove(path.c_str());
+}
+
+// `ts` and `dur` are fixed-point microseconds with three decimals, so a
+// steady-clock stamp far from zero keeps its nanosecond resolution: two
+// events stamped 1 µs apart export exactly 1.000 apart.  A span is stamped
+// when its work ends, and its X slice starts where the work started.
+TEST_F(TraceTest, ChromeTimestampsKeepNanosecondResolution) {
+  std::vector<TraceEvent> events(3);
+  events[0].type = events[1].type = TraceEventType::kAssignment;
+  events[0].timestamp_ns = 687'341'123'456;
+  events[1].timestamp_ns = 687'341'124'456;
+  events[2].type = TraceEventType::kAgendaPop;
+  events[2].timestamp_ns = 687'341'200'000;
+  events[2].duration_ns = 2'500;
+  std::ostringstream out;
+  write_chrome_trace(events, out);
+  const std::string json = out.str();
+  EXPECT_NE(json.find("\"ts\":687341123.456,"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"ts\":687341124.456,"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"ts\":687341197.500,"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"dur\":2.500"), std::string::npos) << json;
 }
 
 TEST(TracerTest, ExportWithoutRingFails) {

@@ -256,7 +256,7 @@ TEST(DesignServiceTest, CloseFoldsSessionMetricsIntoGlobal) {
                     .ok);
     ASSERT_TRUE(svc.call(make(RequestType::kClose, "m")).ok);
   }
-  const std::string json = core::global_metrics_json();
+  const std::string json = core::global_metrics_snapshot().to_json();
   EXPECT_NE(json.find("ctx.sessions"), std::string::npos) << json;
   EXPECT_NE(json.find("ctx.assignments"), std::string::npos) << json;
 }

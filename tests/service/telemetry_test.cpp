@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <fstream>
 #include <future>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -75,6 +76,50 @@ const RequestSpan* find_span(const std::vector<RequestSpan>& spans,
     if (s.type == static_cast<std::uint8_t>(type)) return &s;
   }
   return nullptr;
+}
+
+/// One event of a Chrome trace document, times in nanoseconds.
+struct ChromeSlice {
+  std::string name;
+  char ph = 0;
+  std::uint64_t ts_ns = 0;
+  std::uint64_t dur_ns = 0;
+};
+
+/// Fixed-point microseconds ("123.456") as nanoseconds; all ones when the
+/// text is in any other form.
+std::uint64_t us_to_ns(const std::string& s) {
+  const std::size_t dot = s.find('.');
+  if (dot == std::string::npos || dot == 0 || s.size() != dot + 4 ||
+      s.find_first_not_of("0123456789.") != std::string::npos) {
+    return ~std::uint64_t{0};
+  }
+  return std::stoull(s.substr(0, dot)) * 1000 + std::stoull(s.substr(dot + 1));
+}
+
+/// The writer puts one event per line; read name, ph, ts and dur of each.
+std::vector<ChromeSlice> chrome_events(const std::string& doc) {
+  // The text after `prefix` up to the first of `stop`.
+  const auto field = [](const std::string& line, const std::string& prefix,
+                        const char* stop) {
+    const std::size_t at = line.find(prefix);
+    if (at == std::string::npos) return std::string();
+    const std::size_t from = at + prefix.size();
+    return line.substr(from, line.find_first_of(stop, from) - from);
+  };
+  std::vector<ChromeSlice> out;
+  std::istringstream in(doc);
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("{\"name\":", 0) != 0) continue;
+    ChromeSlice e;
+    e.name = field(line, "\"name\":\"", "\"");
+    e.ph = field(line, "\"ph\":\"", "\"")[0];
+    e.ts_ns = us_to_ns(field(line, "\"ts\":", ",}"));
+    if (e.ph == 'X') e.dur_ns = us_to_ns(field(line, "\"dur\":", ",}"));
+    out.push_back(e);
+  }
+  return out;
 }
 
 // ---------------------------------------------------------------------------
@@ -184,6 +229,39 @@ TEST(TelemetrySpanTest, DisabledTelemetryRecordsNothing) {
   EXPECT_EQ(svc.telemetry().requests_recorded(), 1u);
 }
 
+// In a session opened with `trace`, the request phases land in the session's
+// engine trace at the span's own stamps: an assign's `propagate` slice holds
+// the B/E pair of the propagation session it ran.
+TEST(TelemetrySpanTest, TracedPropagateSliceContainsItsSession) {
+  DesignService svc(1);
+  ASSERT_TRUE(svc.call(make(RequestType::kOpen, "t", "trace")).ok);
+  ASSERT_TRUE(svc.call(make(RequestType::kLoad, "t", kPipeline)).ok);
+  ASSERT_TRUE(svc.call(assign_one("t", 10e-9)).ok);
+  const std::uint64_t id = svc.telemetry().recent_spans().back().request_id;
+
+  std::ostringstream doc;
+  core::write_chrome_trace(svc.sessions()
+                               .find("t")
+                               ->library()
+                               .context()
+                               .tracer()
+                               .ring()
+                               ->snapshot(),
+                           doc);
+  const std::string want = "req#" + std::to_string(id) + " propagate";
+  ChromeSlice slice, begin, end;
+  for (const ChromeSlice& e : chrome_events(doc.str())) {
+    if (e.name == want) slice = e;
+    if (e.ph == 'B') begin = e;  // the assign ran the last session
+    if (e.ph == 'E') end = e;
+  }
+  ASSERT_EQ(slice.ph, 'X') << doc.str();
+  ASSERT_EQ(begin.ph, 'B') << doc.str();
+  ASSERT_EQ(end.ph, 'E') << doc.str();
+  EXPECT_LE(slice.ts_ns, begin.ts_ns) << doc.str();
+  EXPECT_LE(end.ts_ns, slice.ts_ns + slice.dur_ns) << doc.str();
+}
+
 // ---------------------------------------------------------------------------
 // Aggregated views
 
@@ -214,7 +292,7 @@ TEST(TelemetryViewsTest, FoldLatencyTableAndPrometheus) {
   EXPECT_NE(table.find("propagate"), std::string::npos) << table;
   EXPECT_NE(table.find("assign"), std::string::npos) << table;
 
-  const std::string prom = svc.telemetry().prometheus();
+  const std::string prom = core::metrics_to_prometheus(svc.telemetry().fold());
   EXPECT_NE(prom.find("stemcp_svc_lat_total_ns_bucket{le="),
             std::string::npos)
       << prom;
@@ -332,27 +410,44 @@ TEST(FlightRecorderTest, DumpFilesWrittenToBase) {
 }
 
 TEST(FlightRecorderTest, ManualDumpAndRingCapacity) {
-  TelemetryRecorder::Config cfg;
-  cfg.flight_capacity = 4;
-  TelemetryRecorder rec(1, cfg);
+  TelemetryRecorder rec(1, 1);
   RequestSpan span;
   span.set_session("ring");
-  for (int i = 0; i < 10; ++i) {
+  constexpr std::size_t kSpans = TelemetryRecorder::kFlightCapacity + 6;
+  for (std::size_t i = 0; i < kSpans; ++i) {
     span.request_id = rec.next_request_id();
     span.t_enqueue = 100 * (i + 1);
     span.t_reply = span.t_enqueue + 50;
     rec.record(0, span);
   }
-  // The ring keeps only the newest 4 spans.
+  // The ring keeps only the newest kFlightCapacity (256) spans.
   const std::vector<RequestSpan> spans = rec.recent_spans();
-  ASSERT_EQ(spans.size(), 4u);
+  ASSERT_EQ(spans.size(), TelemetryRecorder::kFlightCapacity);
   EXPECT_EQ(spans.front().request_id, 7u);
-  EXPECT_EQ(spans.back().request_id, 10u);
+  EXPECT_EQ(spans.back().request_id, kSpans);
 
   const std::string doc = rec.dump_flight("manual");
   EXPECT_NE(doc.find("\"reason\":\"manual\""), std::string::npos);
   EXPECT_EQ(rec.dumps(), 1u);
   EXPECT_EQ(rec.last_dump_reason(), "manual");
+}
+
+// Anomaly dumps stop at kMaxDumps (64); a manual dump is never refused.
+TEST(FlightRecorderTest, AnomalyDumpsStopAtTheCap) {
+  TelemetryRecorder rec(1, 1);
+  rec.arm_flight("", 1);  // every request is slower than 1 ns
+  RequestSpan span;
+  span.set_session("storm");
+  for (int i = 0; i < 100; ++i) {
+    span.request_id = rec.next_request_id();
+    span.t_enqueue = 1000 * (i + 1);
+    span.t_reply = span.t_enqueue + 50;
+    rec.record(0, span);
+  }
+  EXPECT_EQ(rec.anomalies(), 100u);
+  EXPECT_EQ(rec.dumps(), TelemetryRecorder::kMaxDumps);
+  EXPECT_NE(rec.dump_flight("manual"), "");
+  EXPECT_EQ(rec.dumps(), TelemetryRecorder::kMaxDumps + 1);
 }
 
 // ---------------------------------------------------------------------------
@@ -379,12 +474,8 @@ void expect_histograms_identical(const core::Histogram& a,
 // tolerance.  This is the invariant that makes per-shard telemetry
 // trustworthy: sharding the service cannot change what the fold reports.
 TEST(TelemetryViewsTest, ShardedFoldEqualsSingleRecorderFoldOfUnion) {
-  TelemetryRecorder::Config sharded_cfg;
-  sharded_cfg.lanes_per_shard = 2;
-  TelemetryRecorder sharded(8, sharded_cfg);  // 4 shards x 2 lanes
-  TelemetryRecorder::Config single_cfg;
-  single_cfg.lanes_per_shard = 1;
-  TelemetryRecorder single(1, single_cfg);  // one lane, one implicit shard
+  TelemetryRecorder sharded(8, 2);  // 4 shards x 2 lanes
+  TelemetryRecorder single(1, 1);   // one lane, one implicit shard
 
   // Seeded xorshift: the span stream is identical on every run.
   std::uint64_t seed = 0x2F7B1D3A9E4C6B5Full;

@@ -2,6 +2,11 @@
 // coupling between geometry and timing.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
+#include <map>
+#include <string>
+
 #include "stem/shell.h"
 #include "stem/stem.h"
 
@@ -103,6 +108,52 @@ TEST_F(ShellTest, AliasRegistration) {
   shell.register_variable("alpha", a);
   shell.execute("set alpha 3");
   EXPECT_NE(shell.execute("show cell.b").find("3"), std::string::npos);
+}
+
+// Without a service attached, export-metrics renders the live context's
+// registry merged with the process-global one.  Once a metrics-enabled
+// context has been destroyed both hold run_ns.uniAddition; the Prometheus
+// text format allows each family once, with the counts of both sources.
+TEST(ShellMetricsTest, ExportMetricsWritesEachFamilyOnce) {
+  core::reset_global_metrics();
+  const auto exercise = [](core::PropagationContext& c) {
+    c.metrics().set_enabled(true);
+    core::Variable x(c, "t", "x"), y(c, "t", "y"), s(c, "t", "s");
+    core::UniAdditionConstraint::sum(c, s, {&x, &y});
+    EXPECT_TRUE(x.set_user(Value(1)));
+    EXPECT_TRUE(y.set_user(Value(2)));
+    return c.metrics().find_histogram("run_ns.uniAddition")->count();
+  };
+  std::uint64_t runs = 0;
+  {
+    core::PropagationContext gone;
+    runs += exercise(gone);
+  }
+  core::PropagationContext ctx;
+  runs += exercise(ctx);
+  ConstraintShell shell(ctx);
+  const std::string path = testing::TempDir() + "stemcp_shell_metrics.prom";
+  EXPECT_EQ(shell.execute("export-metrics " + path),
+            "metrics written to " + path + "\n");
+
+  std::ifstream in(path);
+  ASSERT_TRUE(in.good());
+  std::map<std::string, int> families;
+  std::string line;
+  std::string run_count;
+  while (std::getline(in, line)) {
+    if (line.rfind("# TYPE ", 0) == 0) {
+      const std::string rest = line.substr(7);
+      ++families[rest.substr(0, rest.find(' '))];
+    }
+    if (line.rfind("stemcp_run_ns_uniAddition_count ", 0) == 0) {
+      run_count = line.substr(line.find(' ') + 1);
+    }
+  }
+  ASSERT_FALSE(families.empty());
+  for (const auto& [name, n] : families) EXPECT_EQ(n, 1) << name;
+  EXPECT_EQ(run_count, std::to_string(runs));
+  std::remove(path.c_str());
 }
 
 // ---- wire capacitance couples geometry and timing --------------------------

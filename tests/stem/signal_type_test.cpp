@@ -143,8 +143,10 @@ TEST_F(SignalTypeTest, CompatibleConstraintJoinLateChecksExisting) {
   EXPECT_TRUE(s.is_violation()) << "connecting incompatible signals rejected";
 }
 
+// Type names are std::string, not const char*: a pointer parameter prints as
+// its run-time address, and the printed parameters name each test case.
 class AbstractnessCase
-    : public ::testing::TestWithParam<std::tuple<const char*, const char*,
+    : public ::testing::TestWithParam<std::tuple<std::string, std::string,
                                                  bool>> {};
 
 TEST_P(AbstractnessCase, IsLessAbstract) {

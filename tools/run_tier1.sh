@@ -54,12 +54,83 @@ run_suite() {
   ctest --test-dir "$build_dir" --output-on-failure -j "$(nproc)"
 }
 
+check_telemetry_exports() {
+  local tmp
+  tmp="$(mktemp -d)"
+  # The shell reads commands from stdin when run without --script.
+  build/examples/constraint_shell > "$tmp/shell.out" <<EOF
+trace on
+set reg.delay 60e-9
+set adder.delay 90e-9
+set reg.delay 50e-9
+export-trace $tmp/engine.trace.json
+service open t trace
+service load t text cell STAGE\\nsignal in input\\nsignal out output\\ndelay in out\\nend\\n
+service flight arm $tmp/flight 1
+service assign t STAGE.delay(in->out) 4e-8
+service flight dump
+export-metrics $tmp/metrics.prom
+EOF
+  if grep -q "error:" "$tmp/shell.out"; then
+    cat "$tmp/shell.out" >&2
+    rm -rf "$tmp"
+    return 1
+  fi
+  local rc=0
+  python3 - "$tmp" <<'PY' || rc=1
+import glob, json, math, os, re, sys
+tmp = sys.argv[1]
+FIXED_US = re.compile(r"[0-9]+\.[0-9]{3}")
+
+def micros(text):
+    # ts and dur are fixed-point microseconds with three decimals.
+    if not FIXED_US.fullmatch(text):
+        sys.exit("not fixed-point microseconds: %s" % text)
+    return float(text)
+
+docs = [os.path.join(tmp, "engine.trace.json")]
+docs += sorted(glob.glob(os.path.join(tmp, "flight.*.trace.json")))
+if len(docs) < 3:
+    sys.exit("expected an engine trace and two flight dumps, got %s" % docs)
+for path in docs:
+    with open(path) as f:
+        events = json.load(f, parse_float=micros)["traceEvents"]
+    if not events:
+        sys.exit("%s: no events" % path)
+    for e in events:
+        ts, dur = e["ts"], e.get("dur")
+        if not (isinstance(ts, float) and math.isfinite(ts)):
+            sys.exit("%s: bad ts in %s" % (path, e))
+        if e["ph"] == "X" and not (isinstance(dur, float) and
+                                   math.isfinite(dur) and dur >= 0):
+            sys.exit("%s: bad dur in %s" % (path, e))
+families = []
+with open(os.path.join(tmp, "metrics.prom")) as f:
+    for line in f:
+        if line.startswith("# TYPE "):
+            families.append(line.split()[2])
+if not families:
+    sys.exit("metrics.prom: no metric families")
+dupes = sorted({n for n in families if families.count(n) > 1})
+if dupes:
+    sys.exit("metrics.prom: families written twice: %s" % ", ".join(dupes))
+print("%d trace document(s), %d metric families: ok"
+      % (len(docs), len(families)))
+PY
+  rm -rf "$tmp"
+  return "$rc"
+}
+
 if [[ "$RUN_PLAIN" == 1 ]]; then
   echo "== tier-1: plain =="
   run_suite build
   # The bench tooling's own error paths must die with one-line diagnostics,
   # never tracebacks (tools/bench_compare.py self-check).
   tools/bench_compare.py self-check
+  # The telemetry exports, read back by a real parser: an engine trace, the
+  # flight dumps of a traced service session, and a metrics export.
+  echo "== tier-1: telemetry exports parse =="
+  check_telemetry_exports
   # The end-to-end benchmark's smoke (bench/e2e, its own Release package):
   # every session of all four workloads is recovered and must come back
   # byte-identical with zero outcome mismatches — the recovery oracle over
