@@ -268,11 +268,6 @@ void Journal::set_fail_next_truncate() {
   fail_truncate_.store(true, std::memory_order_relaxed);
 }
 
-void Journal::set_metrics(core::MetricsRegistry* metrics) {
-  const std::lock_guard<std::mutex> lock(gc_mu_);
-  opts_.metrics = metrics;
-}
-
 bool Journal::do_fsync(std::uint64_t* ns_out) {
   const std::uint64_t budget =
       fail_fsync_after_.load(std::memory_order_relaxed);

@@ -218,13 +218,6 @@ class Journal {
   /// Fault injection: fail the next ftruncate (truncate_all site).
   void set_fail_next_truncate();
 
-  /// Re-point the metrics sink.  The owner must call this whenever the
-  /// registry it handed to open() is replaced (a fresh-target library load
-  /// swaps the whole PropagationContext, registry included).  Only the
-  /// caller's thread ever touches the registry — the flusher parks its
-  /// counts and the next append/sync on this thread drains them.
-  void set_metrics(core::MetricsRegistry* metrics);
-
   bool dead() const { return dead_.load(std::memory_order_acquire); }
   const std::string& path() const { return path_; }
   /// The options the journal was opened with (zero cadences raised to 1).
@@ -305,9 +298,9 @@ class Journal {
   bool gc_stop_ = false;
   bool gc_flush_now_ = false;  ///< cut the delay window (sync/quiesce)
   bool gc_flushing_ = false;   ///< a batch is out being written
-  // Metrics the flusher cannot report itself (the registry may be swapped
-  // under the session lock); parked here and drained by the next
-  // append/sync on the caller thread.
+  // Metrics the flusher cannot report itself (the registry is not
+  // thread-safe and belongs to the session's caller thread); parked here and
+  // drained by the next append/sync on the caller thread.
   std::uint64_t pending_metric_bytes_ = 0;
   std::uint64_t pending_metric_records_ = 0;
   std::vector<std::uint64_t> pending_fsync_samples_;

@@ -15,7 +15,6 @@
 #include "stem/cell.h"
 #include "stem/editor.h"
 #include "stem/io.h"
-#include "stem/net.h"
 #include "stem/report.h"
 
 namespace stemcp::service {
@@ -178,219 +177,22 @@ env::CellClass* require_cell(DesignSession& s, const std::string& name,
   return c;
 }
 
-/// Structural edit mini-language (docs/SERVICE.md).  One command per
-/// request; propagating edits report violation/restore outcomes like
-/// assignments do.
+/// One structural edit (docs/SERVICE.md): LibraryReader runs the library
+/// statement the command names.  Propagating edits report violation/restore
+/// outcomes like assignments do; a refused edit changes nothing.
 void do_edit(DesignSession& s, const Request& r, Response& resp) {
   core::PropagationContext& ctx = s.library().context();
   const std::uint64_t restores_before = ctx.stats().restores;
-  std::istringstream in(r.text);
-  std::string op;
-  if (!(in >> op)) {
-    resp.error =
-        "edit needs a command: cell|signal|param|delay|leaf-delay|spec|"
-        "subcell|net|conn|io|build-delays";
-    return;
-  }
+  Status st = Status::ok();
   try {
-    if (op == "cell") {
-      std::string name;
-      if (!(in >> name)) {
-        resp.error = "edit cell <name> [super <class>] [generic]";
-        return;
-      }
-      env::CellClass* super = nullptr;
-      bool generic = false;
-      std::string word;
-      while (in >> word) {
-        if (word == "super") {
-          std::string sname;
-          if (!(in >> sname) ||
-              (super = require_cell(s, sname, resp)) == nullptr) {
-            if (resp.error.empty()) resp.error = "super needs a class name";
-            return;
-          }
-        } else if (word == "generic") {
-          generic = true;
-        } else {
-          resp.error = "unknown cell attribute '" + word + "'";
-          return;
-        }
-      }
-      env::CellClass& c = s.library().define_cell(name, super);
-      c.set_generic(generic);
-      resp.text = "defined cell " + name;
-    } else if (op == "signal") {
-      std::string cell, name, dir;
-      if (!(in >> cell >> name >> dir)) {
-        resp.error = "edit signal <cell> <name> <input|output|inout>";
-        return;
-      }
-      env::CellClass* c = require_cell(s, cell, resp);
-      if (c == nullptr) return;
-      const env::SignalDirection d =
-          dir == "input" ? env::SignalDirection::kInput
-          : dir == "output" ? env::SignalDirection::kOutput
-                            : env::SignalDirection::kInOut;
-      c->declare_signal(name, d);
-      resp.text = "declared signal " + cell + "." + name;
-    } else if (op == "param") {
-      std::string cell, name;
-      double lo = 0.0, hi = 0.0;
-      if (!(in >> cell >> name >> lo >> hi)) {
-        resp.error = "edit param <cell> <name> <lo> <hi> [default <v>]";
-        return;
-      }
-      env::CellClass* c = require_cell(s, cell, resp);
-      if (c == nullptr) return;
-      Value def;
-      std::string word;
-      if (in >> word) {
-        double v = 0.0;
-        if (word != "default" || !(in >> v)) {
-          resp.error = "expected: default <number>";
-          return;
-        }
-        def = Value(v);
-      }
-      c->declare_parameter(name, lo, hi, def);
-      resp.text = "declared param " + cell + "." + name;
-    } else if (op == "delay") {
-      std::string cell, from, to;
-      if (!(in >> cell >> from >> to)) {
-        resp.error = "edit delay <cell> <from> <to>";
-        return;
-      }
-      env::CellClass* c = require_cell(s, cell, resp);
-      if (c == nullptr) return;
-      c->declare_delay(from, to);
-      resp.text = "declared delay " + cell + "." + from + "->" + to;
-    } else if (op == "leaf-delay") {
-      std::string cell, from, to;
-      double seconds = 0.0;
-      if (!(in >> cell >> from >> to >> seconds)) {
-        resp.error = "edit leaf-delay <cell> <from> <to> <seconds>";
-        return;
-      }
-      env::CellClass* c = require_cell(s, cell, resp);
-      if (c == nullptr) return;
-      const Status st = c->set_leaf_delay(from, to, seconds);
-      resp.text = "leaf delay " + cell + "." + from + "->" + to;
-      resp.ok = true;
-      fill_propagation_outcome(resp, ctx, restores_before, st);
-      return;
-    } else if (op == "spec") {
-      std::string cell, from, to, rel;
-      double bound = 0.0;
-      if (!(in >> cell >> from >> to >> rel >> bound)) {
-        resp.error = "edit spec <cell> <from> <to> <=|>=|<|> <bound>";
-        return;
-      }
-      env::CellClass* c = require_cell(s, cell, resp);
-      if (c == nullptr) return;
-      core::Relation relation;
-      if (rel == "<=") {
-        relation = core::Relation::kLessEqual;
-      } else if (rel == ">=") {
-        relation = core::Relation::kGreaterEqual;
-      } else if (rel == "<") {
-        relation = core::Relation::kLess;
-      } else if (rel == ">") {
-        relation = core::Relation::kGreater;
-      } else {
-        resp.error = "unknown spec relation '" + rel + "'";
-        return;
-      }
-      env::ClassDelayVar& d = c->declare_delay(from, to);
-      auto& bc = ctx.make<core::BoundConstraint>(relation, Value(bound));
-      const Status st = bc.add_argument(d);
-      resp.text = "spec " + cell + "." + from + "->" + to + " " + rel + " " +
-                  std::to_string(bound);
-      resp.ok = true;
-      fill_propagation_outcome(resp, ctx, restores_before, st);
-      return;
-    } else if (op == "subcell") {
-      std::string parent, name, cls;
-      if (!(in >> parent >> name >> cls)) {
-        resp.error = "edit subcell <parent> <name> <class> [<x> <y>]";
-        return;
-      }
-      env::CellClass* p = require_cell(s, parent, resp);
-      if (p == nullptr) return;
-      env::CellClass* c = require_cell(s, cls, resp);
-      if (c == nullptr) return;
-      core::Point t{0, 0};
-      in >> t.x >> t.y;  // optional placement
-      p->add_subcell(*c, name, core::Transform::translate(t));
-      resp.text = "placed " + parent + "." + name + " : " + cls;
-    } else if (op == "net") {
-      std::string cell, name;
-      if (!(in >> cell >> name)) {
-        resp.error = "edit net <cell> <name>";
-        return;
-      }
-      env::CellClass* c = require_cell(s, cell, resp);
-      if (c == nullptr) return;
-      c->add_net(name);
-      resp.text = "added net " + cell + "." + name;
-    } else if (op == "conn" || op == "io") {
-      std::string cell, net;
-      if (!(in >> cell >> net)) {
-        resp.error = "edit " + op + " <cell> <net> ...";
-        return;
-      }
-      env::CellClass* c = require_cell(s, cell, resp);
-      if (c == nullptr) return;
-      env::Net* n = c->find_net(net);
-      if (n == nullptr) {
-        resp.error = "unknown net '" + net + "' on " + cell;
-        return;
-      }
-      Status st = Status::ok();
-      if (op == "conn") {
-        std::string inst, sig;
-        if (!(in >> inst >> sig)) {
-          resp.error = "edit conn <cell> <net> <instance> <signal>";
-          return;
-        }
-        env::CellInstance* i = c->find_subcell(inst);
-        if (i == nullptr) {
-          resp.error = "unknown subcell '" + inst + "' on " + cell;
-          return;
-        }
-        st = n->connect(*i, sig);
-      } else {
-        std::string sig;
-        if (!(in >> sig)) {
-          resp.error = "edit io <cell> <net> <signal>";
-          return;
-        }
-        st = n->connect_io(sig);
-      }
-      resp.text = "connected " + cell + "." + net;
-      resp.ok = true;
-      fill_propagation_outcome(resp, ctx, restores_before, st);
-      return;
-    } else if (op == "build-delays") {
-      std::string cell;
-      if (!(in >> cell)) {
-        resp.error = "edit build-delays <cell>";
-        return;
-      }
-      env::CellClass* c = require_cell(s, cell, resp);
-      if (c == nullptr) return;
-      c->build_delay_networks();
-      resp.text = "built delay networks for " + cell;
-    } else {
-      resp.error = "unknown edit command '" + op + "'";
-      return;
-    }
+    st = env::LibraryReader::edit(s.library(), r.text);
   } catch (const std::exception& e) {
-    resp.ok = false;
     resp.error = e.what();
     return;
   }
   resp.ok = true;
+  resp.text = "applied: " + r.text;
+  fill_propagation_outcome(resp, ctx, restores_before, st);
 }
 
 /// Shared front half of select / select-stats: parse the slot list and build
@@ -804,10 +606,6 @@ PendingDurability journal_mutation(DesignSession& s, std::string line,
   PendingDurability pending;
   persist::Journal* j = s.journal();
   if (j == nullptr || line.empty() || !resp.ok) return pending;
-  // A fresh-target load swaps the library's whole PropagationContext
-  // (metrics registry included), so the sink the journal captured at attach
-  // time may no longer exist — re-point it at the live registry.
-  j->set_metrics(&s.library().context().metrics());
   persist::JournalRecord rec;
   rec.line = std::move(line);
   rec.violation = resp.violation;
@@ -939,9 +737,6 @@ Response do_recover(SessionManager& sessions, const Request& r,
     resp.error = std::string("recover replay failed: ") + e.what();
     return resp;
   }
-  // NB: fetch the context only now — replaying a load into the fresh session
-  // swapped the whole PropagationContext, so a reference bound before the
-  // replay loop would dangle.
   core::PropagationContext& ctx = s->library().context();
   if (ctx.metrics().enabled()) {
     ctx.metrics().histogram("recover.replay_ns")

@@ -258,7 +258,7 @@ std::vector<IoPin> CellInstance::stretched_pins() const {
 // ---- CellClass -----------------------------------------------------------------
 
 CellClass::CellClass(Library& lib, std::string name, CellClass* superclass)
-    : library_(&lib), name_(std::move(name)), superclass_(superclass) {
+    : library_(lib), name_(std::move(name)), superclass_(superclass) {
   if (superclass_ != nullptr) superclass_->subclasses_.push_back(this);
   bbox_ = std::make_unique<ClassBBoxVar>(context(), *this, name_);
   bbox_->set_recalculate([this] {
@@ -276,10 +276,10 @@ CellClass::~CellClass() {
 }
 
 core::PropagationContext& CellClass::context() const {
-  return library_->context();
+  return library_.context();
 }
 
-SignalTypeRegistry& CellClass::types() const { return library_->types(); }
+SignalTypeRegistry& CellClass::types() const { return library_.types(); }
 
 std::vector<CellClass*> CellClass::all_subclasses() const {
   std::vector<CellClass*> out;
@@ -370,6 +370,10 @@ ClassParamVar* CellClass::find_parameter(const std::string& name) const {
 
 CellInstance& CellClass::add_subcell(CellClass& cls, const std::string& name,
                                      Transform t) {
+  if (is_part_of(cls)) {
+    throw std::invalid_argument("cyclic instantiation: " + cls.name() +
+                                " contains " + name_);
+  }
   subcells_.push_back(std::make_unique<CellInstance>(cls, this, name, t));
   structure_edited();
   return *subcells_.back();
@@ -424,6 +428,17 @@ CellInstance* CellClass::find_subcell(const std::string& name) const {
     if (s->name() == name) return s.get();
   }
   return nullptr;
+}
+
+bool CellClass::is_part_of(const CellClass& other) const {
+  // Upward through the cells that instantiate this one: a cell being loaded
+  // is instantiated nowhere yet, so a load pays one comparison.
+  if (this == &other) return true;
+  for (const CellInstance* i : instances_) {
+    const CellClass* p = i->parent_cell();
+    if (p != nullptr && p->is_part_of(other)) return true;
+  }
+  return false;
 }
 
 Net& CellClass::add_net(const std::string& name) {
@@ -671,7 +686,7 @@ void CellClass::on_changed(const std::string& key) {
 // ---- module selection (thesis ch. 8) ---------------------------------------------------
 
 bool CellClass::valid_bbox_for(CellInstance& inst) {
-  ++library_->selection_stats().bbox_checks;
+  ++library_.selection_stats().bbox_checks;
   const Value cb = bounding_box().demand();
   if (!cb.is_rect()) return true;  // no geometry information yet
   const Rect required = inst.transform().apply(cb.as_rect());
@@ -685,7 +700,7 @@ bool CellClass::valid_bbox_for(CellInstance& inst) {
 }
 
 bool CellClass::valid_signals_for(CellInstance& inst) {
-  ++library_->selection_stats().signal_checks;
+  ++library_.selection_stats().signal_checks;
   for (IoSignal* gsig : inst.cls().all_signals()) {
     IoSignal* mine = find_signal(gsig->name());
     if (mine == nullptr) return false;
@@ -728,7 +743,7 @@ core::Value CellClass::adjusted_delay_for(const std::string& from,
 }
 
 bool CellClass::valid_delays_for(CellInstance& inst) {
-  ++library_->selection_stats().delay_checks;
+  ++library_.selection_stats().delay_checks;
   for (InstanceDelayVar* dv : inst.delay_variables()) {
     const Value nd = adjusted_delay_for(dv->class_delay().from(),
                                         dv->class_delay().to(), inst);
@@ -740,7 +755,7 @@ bool CellClass::valid_delays_for(CellInstance& inst) {
 
 bool CellClass::is_valid_realization_for(
     CellInstance& inst, const std::vector<std::string>& priorities) {
-  ++library_->selection_stats().candidates_tested;
+  ++library_.selection_stats().candidates_tested;
   static const std::vector<std::string> kAll = {"bBox", "signals", "delays"};
   const auto& order = priorities.empty() ? kAll : priorities;
   for (const std::string& symbol : order) {

@@ -182,7 +182,7 @@ class CellClass : public Model {
   CellClass(const CellClass&) = delete;
   CellClass& operator=(const CellClass&) = delete;
 
-  Library& library() const { return *library_; }
+  Library& library() const { return library_; }
   core::PropagationContext& context() const;
   SignalTypeRegistry& types() const;
   const std::string& name() const { return name_; }
@@ -215,6 +215,8 @@ class CellClass : public Model {
   }
 
   // ---- internal structure --------------------------------------------------
+  /// Throws std::invalid_argument, changing nothing, when `cls` is this
+  /// class or contains it: instantiation stays acyclic.
   CellInstance& add_subcell(CellClass& cls, const std::string& name,
                             core::Transform t = {});
   void remove_subcell(CellInstance& inst);
@@ -227,6 +229,9 @@ class CellClass : public Model {
     return subcells_;
   }
   CellInstance* find_subcell(const std::string& name) const;
+  /// Whether this class is `other` or is instantiated, at any depth, inside
+  /// `other`.
+  bool is_part_of(const CellClass& other) const;
 
   Net& add_net(const std::string& name);
   void remove_net(Net& net);
@@ -308,8 +313,6 @@ class CellClass : public Model {
 
  private:
   friend class CellInstance;
-  friend class Library;  // rebind_library during Library::swap_contents
-  void rebind_library(Library& lib) { library_ = &lib; }
   void register_instance(CellInstance& i);
   void unregister_instance(CellInstance& i);
   void enumerate_paths(const std::string& from_signal, Net* net,
@@ -318,7 +321,7 @@ class CellClass : public Model {
                        std::vector<const Net*>& nets_on_path,
                        std::vector<std::vector<InstanceDelayVar*>>& out) const;
 
-  Library* library_;
+  Library& library_;
   std::string name_;
   CellClass* superclass_;
   bool broadcasting_up_ = false;

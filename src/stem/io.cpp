@@ -1,6 +1,7 @@
 #include "stem/io.h"
 
 #include <iomanip>
+#include <iterator>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
@@ -12,6 +13,12 @@ namespace stemcp::env {
 
 namespace {
 
+using core::Status;
+
+/// The edit commands (docs/FORMAT.md "Edit commands").
+const std::string kEditCommands =
+    "cell signal param delay leaf-delay spec subcell net conn io build-delays";
+
 const char* device_kind_name(DeviceInfo::Kind k) {
   switch (k) {
     case DeviceInfo::Kind::kNone: return "none";
@@ -22,51 +29,6 @@ const char* device_kind_name(DeviceInfo::Kind k) {
     case DeviceInfo::Kind::kVoltageSource: return "vsource";
   }
   return "none";
-}
-
-DeviceInfo::Kind device_kind_from(const std::string& s) {
-  if (s == "nmos") return DeviceInfo::Kind::kNmos;
-  if (s == "pmos") return DeviceInfo::Kind::kPmos;
-  if (s == "resistor") return DeviceInfo::Kind::kResistor;
-  if (s == "capacitor") return DeviceInfo::Kind::kCapacitor;
-  if (s == "vsource") return DeviceInfo::Kind::kVoltageSource;
-  return DeviceInfo::Kind::kNone;
-}
-
-const char* direction_name(SignalDirection d) {
-  switch (d) {
-    case SignalDirection::kInput: return "input";
-    case SignalDirection::kOutput: return "output";
-    case SignalDirection::kInOut: return "inout";
-  }
-  return "inout";
-}
-
-SignalDirection direction_from(const std::string& s) {
-  if (s == "input") return SignalDirection::kInput;
-  if (s == "output") return SignalDirection::kOutput;
-  return SignalDirection::kInOut;
-}
-
-const char* side_name(Side s) { return to_string(s); }
-
-Side side_from(const std::string& s) {
-  if (s == "left") return Side::kLeft;
-  if (s == "right") return Side::kRight;
-  if (s == "top") return Side::kTop;
-  return Side::kBottom;
-}
-
-std::string orientation_name(core::Orientation o) {
-  return core::to_string(o);
-}
-
-core::Orientation orientation_from(const std::string& s) {
-  for (int i = 0; i < 8; ++i) {
-    const auto o = static_cast<core::Orientation>(i);
-    if (s == core::to_string(o)) return o;
-  }
-  throw std::runtime_error("unknown orientation: " + s);
 }
 
 /// Bound specifications attached to a variable, serialized one per line.
@@ -100,8 +62,7 @@ void write_cell(const CellClass& cell, std::ostream& out) {
   }
 
   for (const auto& sig : cell.signals()) {
-    out << "  signal " << sig->name() << ' '
-        << direction_name(sig->direction());
+    out << "  signal " << sig->name() << ' ' << to_string(sig->direction());
     if (sig->bit_width().value().is_int() &&
         sig->bit_width().last_set_by().is_user()) {
       out << " width " << sig->bit_width().value().as_int();
@@ -121,7 +82,7 @@ void write_cell(const CellClass& cell, std::ostream& out) {
     out << '\n';
     for (const IoPin& pin : sig->pins()) {
       out << "    pin " << pin.position.x << ' ' << pin.position.y << ' '
-          << side_name(pin.side) << '\n';
+          << to_string(pin.side) << '\n';
     }
   }
 
@@ -151,7 +112,7 @@ void write_cell(const CellClass& cell, std::ostream& out) {
 
   for (const auto& sub : cell.subcells()) {
     out << "  subcell " << sub->name() << ' ' << sub->cls().name() << ' '
-        << orientation_name(sub->transform().orientation()) << ' '
+        << core::to_string(sub->transform().orientation()) << ' '
         << sub->transform().translation().x << ' '
         << sub->transform().translation().y << '\n';
   }
@@ -170,88 +131,186 @@ void write_cell(const CellClass& cell, std::ostream& out) {
   out << "end\n";
 }
 
+/// `text` with each control byte but tab written as \xNN, so an error
+/// message stays one printable line whatever the input held.
+std::string printable(const std::string& text) {
+  std::string out;
+  for (const char c : text) {
+    const auto u = static_cast<unsigned char>(c);
+    if ((u < 0x20 && c != '\t') || u == 0x7f) {
+      static const char kHex[] = "0123456789abcdef";
+      out += {'\\', 'x', kHex[u >> 4], kHex[u & 15]};
+    } else {
+      out += c;
+    }
+  }
+  return out;
+}
+
+/// Thrown by Parser::fail.  Any other exception a statement raises (the
+/// design database refusing it) is rethrown as one, so every error names its
+/// line, or quotes its edit command.
+struct ParseError : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
+
+/// Runs library statements in place on `lib`: every line of a file, or the
+/// one statement an edit command names.  Each handler reads and checks all
+/// its words before it changes the design, and returns the propagation
+/// status of the change it made.
 struct Parser {
+  explicit Parser(Library& l) : lib(l) {}
+
   Library& lib;
-  std::istream& in;
-  int line_no = 0;
-  std::string line_text;
+  int line_no = 0;   ///< 0 while applying an edit command
+  std::string text;  ///< the line or edit command being applied
   CellClass* cell = nullptr;
   IoSignal* signal = nullptr;
   ClassDelayVar* delay = nullptr;
+  std::pair<std::string, std::string> edit_delay;  ///< named by a `spec` edit
   Net* net = nullptr;
-  std::vector<std::string> deferred_builds;
+  struct Build {
+    CellClass* cell;
+    int line_no;
+    std::string text;
+  };
+  std::vector<Build> deferred_builds;  ///< one per structured cell's `end`
 
   [[noreturn]] void fail(const std::string& msg) const {
-    std::string what = "library parse error, line " +
-                       std::to_string(line_no) + ": " + msg;
-    if (!line_text.empty()) what += " in \"" + line_text + "\"";
-    throw std::runtime_error(what);
+    const std::string where =
+        line_no > 0 ? "library parse error, line " + std::to_string(line_no)
+                    : std::string("library edit error");
+    throw ParseError(printable(where + ": " + msg + " in \"" + text + "\""));
   }
 
-  void run() {
+  template <typename F>
+  auto guarded(F&& body) -> decltype(body()) {
+    try {
+      return body();
+    } catch (const ParseError&) {
+      throw;
+    } catch (const std::exception& e) {
+      fail(e.what());
+    }
+  }
+
+  void read(std::istream& in) {
     std::string line;
     while (std::getline(in, line)) {
       ++line_no;
-      line_text = line;
+      text = line;
       const auto hash = line.find('#');
       if (hash != std::string::npos) line.erase(hash);
       std::istringstream ls(line);
       std::string keyword;
       if (!(ls >> keyword)) continue;
-      dispatch(keyword, ls);
+      // A load restores a saved design, so a designer-entered box or delay
+      // value the design rejects makes the file inconsistent.
+      if (statement(keyword, ls).is_violation()) {
+        if (keyword == "bbox") fail("bounding box violates existing constraints");
+        if (keyword == "delay") fail("delay value violates existing constraints");
+      }
     }
-    line_text.clear();  // deferred builds below have no offending line
     // Rebuild delay networks for every structured cell so the loaded
     // design re-derives (and re-checks) its characteristics.
-    for (const std::string& name : deferred_builds) {
-      lib.cell(name).build_delay_networks();
+    for (const Build& b : deferred_builds) {
+      line_no = b.line_no;
+      text = b.text;
+      guarded([&] { b.cell->build_delay_networks(); });
     }
   }
 
-  void dispatch(const std::string& keyword, std::istringstream& ls) {
-    if (keyword == "cell") {
-      begin_cell(ls);
-    } else if (keyword == "end") {
-      if (cell == nullptr) fail("'end' outside a cell");
-      if (!cell->subcells().empty() && !cell->delay_variables().empty()) {
-        deferred_builds.push_back(cell->name());
+  /// One edit command: the library statement it names, run inside the
+  /// named cell (docs/FORMAT.md "Edit commands").
+  Status edit(const std::string& command) {
+    text = command;
+    // As on a library line, '#' starts a comment: a name the format cannot
+    // save must not enter the design.
+    std::istringstream ls(command.substr(0, command.find('#')));
+    std::string op;
+    std::string cell_name;
+    if (!(ls >> op)) fail("edit needs a command: " + kEditCommands);
+    if ((' ' + kEditCommands + ' ').find(' ' + op + ' ') == std::string::npos) {
+      fail("unknown edit command '" + op + "'");
+    }
+    if (op == "cell") return statement(op, ls);
+    if (!(ls >> cell_name)) fail(op + " needs a cell name");
+    cell = lib.find(cell_name);
+    if (cell == nullptr) fail("unknown cell '" + cell_name + "'");
+    if (op == "conn" || op == "io") {
+      std::string net_name;
+      if (!(ls >> net_name)) fail(op + " needs a net name");
+      net = cell->find_net(net_name);
+      if (net == nullptr) {
+        fail("unknown net '" + net_name + "' on " + cell_name);
       }
-      cell = nullptr;
-      signal = nullptr;
-      delay = nullptr;
-      net = nullptr;
-    } else if (cell == nullptr) {
-      fail("'" + keyword + "' outside a cell");
-    } else if (keyword == "device") {
-      parse_device(ls);
-    } else if (keyword == "bbox") {
-      parse_bbox(ls);
-    } else if (keyword == "signal") {
-      parse_signal(ls);
-    } else if (keyword == "pin") {
-      parse_pin(ls);
-    } else if (keyword == "param") {
-      parse_param(ls);
-    } else if (keyword == "delay") {
-      parse_delay(ls);
-    } else if (keyword == "spec") {
-      parse_spec(ls);
-    } else if (keyword == "subcell") {
-      parse_subcell(ls);
-    } else if (keyword == "net") {
-      std::string name;
-      if (!(ls >> name)) fail("net needs a name");
-      net = &cell->add_net(name);
-    } else if (keyword == "conn") {
-      parse_conn(ls);
-    } else if (keyword == "io") {
-      parse_io(ls);
-    } else {
-      fail("unknown keyword '" + keyword + "'");
+    } else if (op == "spec") {
+      if (!(ls >> edit_delay.first >> edit_delay.second)) {
+        fail("spec needs a delay: <from> <to>");
+      }
     }
+    if (op != "leaf-delay" && op != "subcell" && op != "build-delays") {
+      return statement(op, ls);
+    }
+    // The three commands whose words are not their statement's.
+    std::vector<std::string> w{std::istream_iterator<std::string>(ls), {}};
+    if (op == "leaf-delay" && w.size() == 3) {
+      std::istringstream st(w[0] + ' ' + w[1] + " value " + w[2]);
+      return statement("delay", st);
+    }
+    if (op == "subcell" && (w.size() == 2 || w.size() == 4)) {
+      if (w.size() == 2) w.insert(w.end(), {"0", "0"});
+      std::istringstream st(w[0] + ' ' + w[1] + " R0 " + w[2] + ' ' + w[3]);
+      return statement("subcell", st);
+    }
+    if (op == "build-delays" && w.empty()) {
+      guarded([&] { cell->build_delay_networks(); });
+      return Status::ok();
+    }
+    fail(op == "leaf-delay" ? "leaf-delay <cell> <from> <to> <seconds>"
+         : op == "subcell"  ? "subcell <parent> <name> <class> [<x> <y>]"
+                            : "build-delays <cell>");
   }
 
-  void begin_cell(std::istringstream& ls) {
+  Status statement(const std::string& keyword, std::istringstream& ls) {
+    return guarded([&] { return dispatch(keyword, ls); });
+  }
+
+  Status dispatch(const std::string& keyword, std::istringstream& ls) {
+    if (keyword == "cell") return begin_cell(ls);
+    if (cell == nullptr) fail("'" + keyword + "' outside a cell");
+    if (keyword == "end") return end_cell(ls);
+    if (keyword == "device") return parse_device(ls);
+    if (keyword == "bbox") return parse_bbox(ls);
+    if (keyword == "signal") return parse_signal(ls);
+    if (keyword == "pin") return parse_pin(ls);
+    if (keyword == "param") return parse_param(ls);
+    if (keyword == "delay") return parse_delay(ls);
+    if (keyword == "spec") return parse_spec(ls);
+    if (keyword == "subcell") return parse_subcell(ls);
+    if (keyword == "net") return parse_net(ls);
+    if (keyword == "conn") return parse_conn(ls);
+    if (keyword == "io") return parse_io(ls);
+    fail("unknown keyword '" + keyword + "'");
+  }
+
+  void expect_end(std::istringstream& ls) const {
+    std::string extra;
+    if (ls >> extra) fail("unexpected '" + extra + "'");
+  }
+
+  /// The value in [first, last] whose writer name is `word`: the reader
+  /// accepts exactly the words the writer writes.
+  template <typename E>
+  E named(const std::string& word, E first, E last, const char* (*name)(E),
+          const char* what) const {
+    for (int i = static_cast<int>(first); i <= static_cast<int>(last); ++i) {
+      if (word == name(static_cast<E>(i))) return static_cast<E>(i);
+    }
+    fail(std::string("unknown ") + what + " '" + word + "'");
+  }
+
+  Status begin_cell(std::istringstream& ls) {
     if (cell != nullptr) fail("nested cell");
     std::string name;
     if (!(ls >> name)) fail("cell needs a name");
@@ -272,68 +331,94 @@ struct Parser {
     }
     cell = &lib.define_cell(name, super);
     cell->set_generic(generic);
+    return Status::ok();
   }
 
-  void parse_device(std::istringstream& ls) {
+  Status end_cell(std::istringstream& ls) {
+    expect_end(ls);
+    if (!cell->subcells().empty() && !cell->delay_variables().empty()) {
+      deferred_builds.push_back({cell, line_no, text});
+    }
+    cell = nullptr;
+    signal = nullptr;
+    delay = nullptr;
+    net = nullptr;
+    return Status::ok();
+  }
+
+  Status parse_device(std::istringstream& ls) {
     std::string kind;
     double value = 0.0;
     double ron = 0.0;
     if (!(ls >> kind >> value >> ron)) fail("device kind value ron");
-    cell->device().kind = device_kind_from(kind);
-    cell->device().value = value;
-    cell->device().ron = ron;
+    const DeviceInfo::Kind k =
+        named(kind, DeviceInfo::Kind::kNmos, DeviceInfo::Kind::kVoltageSource,
+              device_kind_name, "device kind");
+    expect_end(ls);
+    cell->device() = DeviceInfo{k, value, ron};
+    return Status::ok();
   }
 
-  void parse_bbox(std::istringstream& ls) {
+  Status parse_bbox(std::istringstream& ls) {
     core::Rect r;
     if (!(ls >> r.x0 >> r.y0 >> r.x1 >> r.y1)) fail("bbox x0 y0 x1 y1");
-    if (cell->bounding_box().set_user(core::Value(r)).is_violation()) {
-      fail("bounding box violates existing constraints");
-    }
+    expect_end(ls);
+    return cell->bounding_box().set_user(core::Value(r));
   }
 
-  void parse_signal(std::istringstream& ls) {
+  Status parse_signal(std::istringstream& ls) {
     std::string name;
     std::string dir;
     if (!(ls >> name >> dir)) fail("signal name direction");
-    signal = &cell->declare_signal(name, direction_from(dir));
+    const SignalDirection d = named(dir, SignalDirection::kInput,
+                                    SignalDirection::kInOut, to_string,
+                                    "direction");
+    core::Value width;
+    core::Value data;
+    core::Value elec;
+    double load = 0.0;
+    double rout = 0.0;
     std::string attr;
     while (ls >> attr) {
       if (attr == "width") {
         std::int64_t w = 0;
         if (!(ls >> w)) fail("width needs an integer");
-        signal->bit_width().set_user(core::Value(w));
+        width = core::Value(w);
       } else if (attr == "data" || attr == "elec") {
         std::string type_name;
         if (!(ls >> type_name)) fail(attr + " needs a type name");
         const SignalTypePtr t = lib.types().find(type_name);
         if (t == nullptr) fail("unknown signal type " + type_name);
-        auto& var = attr == "data" ? signal->data_type()
-                                   : signal->electrical_type();
-        var.set_user(type_value(t));
+        (attr == "data" ? data : elec) = type_value(t);
       } else if (attr == "load") {
-        double f = 0.0;
-        if (!(ls >> f)) fail("load needs a number");
-        signal->set_load_capacitance(f);
+        if (!(ls >> load)) fail("load needs a number");
       } else if (attr == "rout") {
-        double ohms = 0.0;
-        if (!(ls >> ohms)) fail("rout needs a number");
-        signal->set_output_resistance(ohms);
+        if (!(ls >> rout)) fail("rout needs a number");
       } else {
         fail("unknown signal attribute '" + attr + "'");
       }
     }
+    signal = &cell->declare_signal(name, d);
+    if (!width.is_nil()) signal->bit_width().set_user(width);
+    if (!data.is_nil()) signal->data_type().set_user(data);
+    if (!elec.is_nil()) signal->electrical_type().set_user(elec);
+    signal->set_load_capacitance(load);
+    signal->set_output_resistance(rout);
+    return Status::ok();
   }
 
-  void parse_pin(std::istringstream& ls) {
+  Status parse_pin(std::istringstream& ls) {
     if (signal == nullptr) fail("pin outside a signal");
     core::Point p;
     std::string side;
     if (!(ls >> p.x >> p.y >> side)) fail("pin x y side");
-    signal->add_pin(p, side_from(side));
+    const Side s = named(side, Side::kLeft, Side::kTop, to_string, "side");
+    expect_end(ls);
+    signal->add_pin(p, s);
+    return Status::ok();
   }
 
-  void parse_param(std::istringstream& ls) {
+  Status parse_param(std::istringstream& ls) {
     std::string name;
     double lo = 0.0;
     double hi = 0.0;
@@ -345,29 +430,30 @@ struct Parser {
       double v = 0.0;
       if (!(ls >> v)) fail("default needs a number");
       def = core::Value(v);
+      expect_end(ls);
     }
     cell->declare_parameter(name, lo, hi, def);
+    return Status::ok();
   }
 
-  void parse_delay(std::istringstream& ls) {
+  Status parse_delay(std::istringstream& ls) {
     std::string from;
     std::string to;
     if (!(ls >> from >> to)) fail("delay from to");
-    delay = &cell->declare_delay(from, to);
     std::string word;
-    if (ls >> word) {
+    double v = 0.0;
+    const bool valued = static_cast<bool>(ls >> word);
+    if (valued) {
       if (word != "value") fail("expected 'value'");
-      double v = 0.0;
       if (!(ls >> v)) fail("delay value needs a number");
-      if (delay->set(core::Value(v),
-                     core::Justification::application()).is_violation()) {
-        fail("delay value violates existing constraints");
-      }
+      expect_end(ls);
     }
+    delay = &cell->declare_delay(from, to);
+    if (!valued) return Status::ok();
+    return delay->set(core::Value(v), core::Justification::application());
   }
 
-  void parse_spec(std::istringstream& ls) {
-    if (delay == nullptr) fail("spec outside a delay");
+  Status parse_spec(std::istringstream& ls) {
     std::string rel;
     double bound = 0.0;
     if (!(ls >> rel >> bound)) fail("spec relation bound");
@@ -383,12 +469,19 @@ struct Parser {
     } else {
       fail("unknown spec relation " + rel);
     }
+    expect_end(ls);
+    // A spec edit names its delay; it is declared only now that the
+    // statement's words check out.
+    if (delay == nullptr && !edit_delay.first.empty()) {
+      delay = &cell->declare_delay(edit_delay.first, edit_delay.second);
+    }
+    if (delay == nullptr) fail("spec outside a delay");
     auto& c = lib.context().make<core::BoundConstraint>(relation,
                                                         core::Value(bound));
-    c.add_argument(*delay);
+    return c.add_argument(*delay);
   }
 
-  void parse_subcell(std::istringstream& ls) {
+  Status parse_subcell(std::istringstream& ls) {
     std::string name;
     std::string cls_name;
     std::string orient;
@@ -396,27 +489,41 @@ struct Parser {
     if (!(ls >> name >> cls_name >> orient >> t.x >> t.y)) {
       fail("subcell name class orientation x y");
     }
+    expect_end(ls);
     CellClass* sub_cls = lib.find(cls_name);
     if (sub_cls == nullptr) fail("unknown class " + cls_name);
-    cell->add_subcell(*sub_cls, name,
-                      core::Transform{orientation_from(orient), t});
+    const core::Orientation o =
+        named(orient, core::Orientation::kR0, core::Orientation::kMYR90,
+              core::to_string, "orientation");
+    cell->add_subcell(*sub_cls, name, core::Transform{o, t});
+    return Status::ok();
   }
 
-  void parse_conn(std::istringstream& ls) {
+  Status parse_net(std::istringstream& ls) {
+    std::string name;
+    if (!(ls >> name)) fail("net needs a name");
+    expect_end(ls);
+    net = &cell->add_net(name);
+    return Status::ok();
+  }
+
+  Status parse_conn(std::istringstream& ls) {
     if (net == nullptr) fail("conn outside a net");
     std::string inst_name;
     std::string sig_name;
     if (!(ls >> inst_name >> sig_name)) fail("conn instance signal");
+    expect_end(ls);
     CellInstance* inst = cell->find_subcell(inst_name);
     if (inst == nullptr) fail("unknown subcell " + inst_name);
-    net->connect(*inst, sig_name);
+    return net->connect(*inst, sig_name);
   }
 
-  void parse_io(std::istringstream& ls) {
+  Status parse_io(std::istringstream& ls) {
     if (net == nullptr) fail("io outside a net");
     std::string sig_name;
     if (!(ls >> sig_name)) fail("io signal");
-    net->connect_io(sig_name);
+    expect_end(ls);
+    return net->connect_io(sig_name);
   }
 };
 
@@ -434,56 +541,34 @@ std::string LibraryWriter::to_string(const Library& lib) {
 }
 
 void LibraryReader::read(Library& lib, std::istream& in) {
-  if (!lib.cells().empty()) {
-    // Reading into a populated library appends in place (the file may refer
-    // to already-defined superclasses).  Scratch-parsing can't work here —
-    // every Variable is bound to the target's PropagationContext by
-    // reference, so parsed cells cannot be spliced across contexts — but
-    // the strong guarantee holds anyway, by rollback: every parse handler
-    // only mutates cells defined by THIS parse, so on error it suffices to
-    // destroy the constraints made since the snapshot (retracting any value
-    // they propagated, including into pre-existing cells) and then the
-    // appended cells newest-first.
-    const std::size_t cells_before = lib.cells().size();
-    const std::size_t constraints_before = lib.context().constraint_count();
-    try {
-      Parser parser{lib, in};
-      parser.run();
-    } catch (...) {
-      const std::vector<core::Constraint*> cs =
-          lib.context().all_constraints();
-      for (std::size_t i = cs.size(); i > constraints_before; --i) {
-        lib.context().destroy_constraint(*cs[i - 1]);
-      }
-      lib.rollback_cells_to(cells_before);
-      throw;
-    }
-    return;
-  }
-  // Fresh target: strong guarantee.  Parse into a scratch library that
-  // borrows the target's type registry (so user-defined signal types
-  // resolve), and swap the parsed contents in only on success — a parse
-  // error mid-file leaves the target untouched.  The scratch context
-  // mirrors the target's engine/observability switches so they survive the
-  // swap (a metrics-enabled session stays metrics-enabled after a load).
-  Library scratch(lib.name());
-  scratch.context().set_enabled(lib.context().enabled());
-  scratch.context().metrics().set_enabled(lib.context().metrics().enabled());
-  scratch.context().tracer().set_enabled(lib.context().tracer().enabled());
-  std::swap(lib.types(), scratch.types());
+  // Strong guarantee by rollback.  A statement changes only cells this read
+  // defined, so on error it suffices to destroy those cells newest-first —
+  // their nets and delay networks go with them, and so do their instances
+  // of older classes — and then the constraints made since that no cell
+  // owns (`spec` bounds).  The other order would destroy a cell's own
+  // constraints twice.  Destroying a constraint retracts every value it
+  // propagated.
+  const std::size_t cells_before = lib.cells().size();
+  const std::size_t constraints_before = lib.context().constraint_count();
   try {
-    Parser parser{scratch, in};
-    parser.run();
+    Parser{lib}.read(in);
   } catch (...) {
-    std::swap(lib.types(), scratch.types());
+    lib.rollback_cells_to(cells_before);
+    const std::vector<core::Constraint*> cs = lib.context().all_constraints();
+    for (std::size_t i = cs.size(); i > constraints_before; --i) {
+      lib.context().destroy_constraint(*cs[i - 1]);
+    }
     throw;
   }
-  lib.swap_contents(scratch);
 }
 
 void LibraryReader::read_string(Library& lib, const std::string& text) {
   std::istringstream is(text);
   read(lib, is);
+}
+
+core::Status LibraryReader::edit(Library& lib, const std::string& command) {
+  return Parser{lib}.edit(command);
 }
 
 }  // namespace stemcp::env

@@ -4,7 +4,9 @@
 // The writer emits cells in definition order (leaf-first by construction);
 // the reader rebuilds classes, interfaces, user-entered characteristics,
 // structure and delay specifications, re-instantiating the implied
-// constraint networks as it goes — loading a design re-checks it.
+// constraint networks as it goes — loading a design re-checks it.  The
+// reader is also the one way to edit a design: an edit command runs the
+// same statement a library file would, on the live constraint network.
 #pragma once
 
 #include <iosfwd>
@@ -23,15 +25,21 @@ class LibraryWriter {
 
 class LibraryReader {
  public:
-  /// Parse into `lib` (which supplies the context and type registry).
+  /// Parse into `lib` in place: its context, type registry and cells.
   /// Throws std::runtime_error carrying the line number and the offending
-  /// line's text on malformed input.  The load is transactional (strong
-  /// guarantee) in both directions: an empty `lib` is parsed into a scratch
-  /// library and swapped in only on success, and an append into a non-empty
-  /// `lib` rolls back the cells and constraints it created if the parse
-  /// fails mid-file — either way a parse error leaves `lib` as it was.
+  /// line's text on malformed input, and on any statement the design
+  /// database refuses.  A failed read destroys every cell and constraint it
+  /// made, so `lib`'s design (cells, constraints, values) is as it was; the
+  /// engine's counters, violation log and traces keep what the read did.
   static void read(Library& lib, std::istream& in);
   static void read_string(Library& lib, const std::string& text);
+
+  /// Apply one edit command by running the library statement it names
+  /// inside the named cell (docs/FORMAT.md "Edit commands") and return that
+  /// statement's propagation status.  Throws std::runtime_error quoting the
+  /// command, before anything changes, when the command is malformed or the
+  /// design database refuses it.
+  static core::Status edit(Library& lib, const std::string& command);
 };
 
 }  // namespace stemcp::env

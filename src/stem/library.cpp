@@ -7,9 +7,7 @@
 
 namespace stemcp::env {
 
-Library::Library(std::string name)
-    : name_(std::move(name)),
-      ctx_(std::make_unique<core::PropagationContext>()) {}
+Library::Library(std::string name) : name_(std::move(name)) {}
 
 Library::~Library() {
   // A class must outlive every instance of it (~CellInstance unregisters
@@ -30,15 +28,6 @@ Library::~Library() {
     // newest-first behavior over spinning.
     if (!destroyed) cells_.pop_back();
   }
-}
-
-void Library::swap_contents(Library& other) {
-  std::swap(ctx_, other.ctx_);
-  std::swap(types_, other.types_);
-  std::swap(cells_, other.cells_);
-  std::swap(selection_stats_, other.selection_stats_);
-  for (auto& c : cells_) c->rebind_library(*this);
-  for (auto& c : other.cells_) c->rebind_library(other);
 }
 
 void Library::rollback_cells_to(std::size_t count) {

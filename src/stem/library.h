@@ -1,5 +1,6 @@
 // Library: the design database root.  Owns the propagation context, the
-// signal type registry, and every cell class.
+// signal type registry, and every cell class.  The context lives exactly as
+// long as the library: loads and edits change the design in place on it.
 #pragma once
 
 #include <memory>
@@ -22,17 +23,9 @@ class Library {
   Library& operator=(const Library&) = delete;
 
   const std::string& name() const { return name_; }
-  core::PropagationContext& context() { return *ctx_; }
-  const core::PropagationContext& context() const { return *ctx_; }
+  core::PropagationContext& context() { return ctx_; }
+  const core::PropagationContext& context() const { return ctx_; }
   SignalTypeRegistry& types() { return types_; }
-
-  /// Exchange design contents (engine context, type registry, cells, stats)
-  /// with another library; names stay put.  Cell back-pointers are re-bound
-  /// on both sides, and since the propagation contexts move by pointer, all
-  /// constraint/variable references into them stay valid.  Used by
-  /// LibraryReader to make loading transactional: parse into a scratch
-  /// library, swap only on success.
-  void swap_contents(Library& other);
 
   /// Define a cell class, optionally as a subclass of an existing one.
   CellClass& define_cell(const std::string& name,
@@ -45,8 +38,9 @@ class Library {
 
   /// Destroy every cell defined after the first `count`, newest-first (so
   /// composites release their instances of earlier cells before those die).
-  /// LibraryReader's append-rollback path; destructors deregister cleanly
-  /// (subclass lists, instance registries, constraint arguments).
+  /// LibraryReader's rollback of a failed read; destructors deregister
+  /// cleanly (subclass lists, instance registries, constraint arguments) and
+  /// destroy the constraints the cells own.
   void rollback_cells_to(std::size_t count);
 
   /// Module-selection instrumentation (used by the pruning/selective-testing
@@ -62,10 +56,7 @@ class Library {
 
  private:
   std::string name_;
-  // Behind unique_ptr so swap_contents can exchange engine state without
-  // moving the context object itself (its address is baked into constraints
-  // and variables).
-  std::unique_ptr<core::PropagationContext> ctx_;
+  core::PropagationContext ctx_;  // outlives cells_ (declared first)
   SignalTypeRegistry types_;
   std::vector<std::unique_ptr<CellClass>> cells_;
   SelectionStats selection_stats_;

@@ -245,6 +245,19 @@ TEST(DesignServiceTest, EditCommandsBuildADesign) {
   EXPECT_FALSE(r.ok);
 }
 
+// A load runs in place on the session's one engine context, so the
+// request count the load bumped before it ran survives it: the metrics
+// mirror and the session's own count agree.
+TEST(DesignServiceTest, LoadKeepsTheRequestCount) {
+  DesignService svc(1);
+  ASSERT_TRUE(svc.call(make(RequestType::kOpen, "m", "metrics")).ok);
+  ASSERT_TRUE(svc.call(make(RequestType::kLoad, "m", kPipeline)).ok);
+  const Response r = svc.call(make(RequestType::kQuery, "m", "stats"));
+  ASSERT_TRUE(r.ok) << r.error;
+  EXPECT_NE(r.text.find("requests served: 2\n"), std::string::npos) << r.text;
+  EXPECT_NE(r.text.find("\"svc.requests\":2"), std::string::npos) << r.text;
+}
+
 TEST(DesignServiceTest, CloseFoldsSessionMetricsIntoGlobal) {
   core::reset_global_metrics();
   {

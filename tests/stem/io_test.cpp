@@ -328,5 +328,208 @@ end
       << "loading re-checks the design";
 }
 
+/// Read `text` into a fresh library and expect an error at `line` whose
+/// message is `message`.
+void expect_line_error(const std::string& text, int line,
+                       const std::string& message) {
+  Library lib;
+  try {
+    LibraryReader::read_string(lib, text);
+    ADD_FAILURE() << "expected an error from:\n" << text;
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_EQ(what.find("library parse error, line " + std::to_string(line) +
+                        ": " + message + " in \""),
+              0u)
+        << what;
+  }
+  EXPECT_TRUE(lib.cells().empty());
+}
+
+// Errors the design database throws inside a statement carry the line too.
+TEST(IoTest, DuplicateCellErrorNamesItsLine) {
+  expect_line_error("cell X\nend\ncell X\nend\n", 3,
+                    "cell already defined: X");
+}
+
+TEST(IoTest, DuplicateSignalErrorNamesItsLine) {
+  expect_line_error("cell A\n  signal p input\n  signal p output\nend\n", 3,
+                    "signal 'p' already declared on A");
+}
+
+TEST(IoTest, UndeclaredDelayEndpointErrorNamesItsLine) {
+  expect_line_error("cell C\n  signal a input\n  delay a b\nend\n", 3,
+                    "delay endpoints must be declared signals of C");
+}
+
+TEST(IoTest, ConnectToUnknownSignalErrorNamesItsLine) {
+  expect_line_error(
+      "cell L\n  signal a input\nend\n"
+      "cell T\n  subcell u L R0 0 0\n  net n\n    conn u nope\nend\n",
+      7, "net T:n: no signal 'nope' on class L");
+}
+
+TEST(IoTest, ConnectToUnknownIoSignalErrorNamesItsLine) {
+  expect_line_error("cell T\n  net n\n    io nope\nend\n", 3,
+                    "net T:n: no io-signal 'nope' on T");
+}
+
+TEST(IoTest, DuplicateParameterErrorNamesItsLine) {
+  expect_line_error("cell A\n  param w 1 8\n  param w 1 8\nend\n", 3,
+                    "parameter 'w' already declared on A");
+}
+
+// Instantiation stays acyclic: the library destroys a class only after
+// every instance of it, which a cell containing itself makes impossible.
+TEST(IoTest, SelfInstantiationIsRefused) {
+  expect_line_error("cell A\n  subcell x A R0 0 0\nend\n", 2,
+                    "cyclic instantiation: A contains A");
+}
+
+// The reader accepts exactly the words the writer writes.
+TEST(IoTest, UnknownWordsAreRefused) {
+  expect_line_error("cell A\n  signal a sideways\nend\n", 2,
+                    "unknown direction 'sideways'");
+  expect_line_error("cell A\n  signal a input\n    pin 0 0 nowhere\nend\n", 3,
+                    "unknown side 'nowhere'");
+  expect_line_error("cell A\n  device foo 1 2\nend\n", 2,
+                    "unknown device kind 'foo'");
+  expect_line_error("cell L\nend\ncell T\n  subcell u L R45 0 0\nend\n", 4,
+                    "unknown orientation 'R45'");
+  expect_line_error("cell A\n  signal a input width 8 junk\nend\n", 2,
+                    "unknown signal attribute 'junk'");
+  expect_line_error("cell A\n  net n extra\nend\n", 2, "unexpected 'extra'");
+}
+
+TEST(IoTest, EveryWordTheWriterWritesReadsBack) {
+  Library lib;
+  const DeviceInfo::Kind kinds[] = {
+      DeviceInfo::Kind::kNmos, DeviceInfo::Kind::kPmos,
+      DeviceInfo::Kind::kResistor, DeviceInfo::Kind::kCapacitor,
+      DeviceInfo::Kind::kVoltageSource};
+  for (const DeviceInfo::Kind k : kinds) {
+    auto& d = lib.define_cell("D" + std::to_string(static_cast<int>(k)));
+    d.device() = DeviceInfo{k, 2.0, 3.0};
+  }
+  auto& leaf = lib.define_cell("LEAF");
+  const SignalDirection dirs[] = {SignalDirection::kInput,
+                                  SignalDirection::kOutput,
+                                  SignalDirection::kInOut};
+  const Side sides[] = {Side::kLeft, Side::kBottom, Side::kRight, Side::kTop};
+  for (const SignalDirection d : dirs) {
+    auto& sig = leaf.declare_signal(to_string(d), d);
+    for (const Side side : sides) sig.add_pin({1, 2}, side);
+  }
+  auto& top = lib.define_cell("TOP");
+  for (int o = 0; o < 8; ++o) {
+    top.add_subcell(leaf, "u" + std::to_string(o),
+                    Transform{static_cast<core::Orientation>(o), {o, 0}});
+  }
+  const std::string text = LibraryWriter::to_string(lib);
+  Library loaded;
+  LibraryReader::read_string(loaded, text);
+  EXPECT_EQ(LibraryWriter::to_string(loaded), text);
+}
+
+// A failed read that made a net: the net's constraints die with its cell,
+// exactly once, so the rollback must destroy the read's cells before the
+// constraints it made.
+TEST(IoTest, FailedAppendWithANetRollsBackCompletely) {
+  Library lib;
+  build_accumulator(lib);
+  const std::string before = LibraryWriter::to_string(lib);
+  const std::size_t constraints_before = lib.context().constraint_count();
+  EXPECT_THROW(LibraryReader::read_string(lib,
+                                          "cell W\n"
+                                          "  signal in input\n"
+                                          "  subcell r REGISTER R0 0 0\n"
+                                          "  net n\n"
+                                          "    io in\n"
+                                          "    conn r in\n"
+                                          "  junk\n"
+                                          "end\n"),
+               std::runtime_error);
+  EXPECT_EQ(lib.find("W"), nullptr);
+  EXPECT_EQ(lib.context().constraint_count(), constraints_before);
+  EXPECT_EQ(LibraryWriter::to_string(lib), before);
+}
+
+TEST(IoTest, EditRunsItsStatementInTheNamedCell) {
+  Library lib;
+  build_accumulator(lib);
+  // ADDER's a->out delay carries a 120 ns spec.
+  EXPECT_TRUE(
+      LibraryReader::edit(lib, "leaf-delay ADDER a out 200e-9").is_violation());
+  EXPECT_TRUE(LibraryReader::edit(lib, "leaf-delay ADDER a out 90e-9"));
+  EXPECT_DOUBLE_EQ(lib.cell("ACCUMULATOR").find_delay("in", "out")->value()
+                       .as_number(),
+                   150 * kNs);
+  ASSERT_TRUE(LibraryReader::edit(lib, "cell BUF"));
+  ASSERT_TRUE(LibraryReader::edit(lib, "signal BUF a input width 4"));
+  ASSERT_TRUE(LibraryReader::edit(lib, "signal BUF b output"));
+  ASSERT_TRUE(LibraryReader::edit(lib, "spec BUF a b <= 1e-9"));
+  ASSERT_TRUE(LibraryReader::edit(lib, "subcell BUF r REGISTER 5 6"));
+  ASSERT_TRUE(LibraryReader::edit(lib, "net BUF n"));
+  ASSERT_TRUE(LibraryReader::edit(lib, "io BUF n a"));
+  ASSERT_TRUE(LibraryReader::edit(lib, "conn BUF n r in"));
+  const std::string text = LibraryWriter::to_string(lib);
+  EXPECT_NE(text.find("cell BUF\n"
+                      "  signal a input width 4\n"
+                      "  signal b output\n"
+                      "  delay a b\n"
+                      "    spec <= 1.0000000000000001e-09\n"
+                      "  subcell r REGISTER R0 5 6\n"
+                      "  net n\n"
+                      "    io a\n"
+                      "    conn r in\n"
+                      "end\n"),
+            std::string::npos)
+      << text;
+}
+
+// '#' starts a comment in an edit command as on a library line, so every
+// name an edit creates saves and loads back.
+TEST(IoTest, EditCommentIsIgnoredLikeALibraryComment) {
+  Library lib;
+  ASSERT_TRUE(LibraryReader::edit(lib, "cell X#1"));
+  EXPECT_NE(lib.find("X"), nullptr);
+  const std::string text = LibraryWriter::to_string(lib);
+  Library loaded;
+  LibraryReader::read_string(loaded, text);
+  EXPECT_EQ(LibraryWriter::to_string(loaded), text);
+}
+
+// A refused edit changes nothing, and its error quotes the command.  A spec
+// edit declares its delay only once the spec's words check out.
+TEST(IoTest, RefusedEditChangesNothingAndQuotesTheCommand) {
+  Library lib;
+  build_accumulator(lib);
+  const std::string before = LibraryWriter::to_string(lib);
+  const char* refused[] = {
+      "spec ADDER a out <> 1e-9",   "spec REGISTER out in <= one",
+      "signal ADDER a input",       "subcell ACCUMULATOR x NOPE",
+      "subcell ACCUMULATOR x REGISTER 1", "conn ACCUMULATOR n_in reg nope",
+      "leaf-delay ADDER a out",     "net ACCUMULATOR",
+      "delay ADDER a out value x",  "build-delays ACCUMULATOR now",
+      "bbox REGISTER 0 0 1 1",      "",
+      // Cyclic instantiation, directly and through a subcell.
+      "subcell ACCUMULATOR x ACCUMULATOR", "subcell REGISTER x ACCUMULATOR",
+  };
+  for (const char* command : refused) {
+    try {
+      LibraryReader::edit(lib, command);
+      ADD_FAILURE() << "accepted: " << command;
+    } catch (const std::runtime_error& e) {
+      const std::string what = e.what();
+      EXPECT_EQ(what.find("library edit error: "), 0u) << what;
+      EXPECT_NE(what.find(std::string(" in \"") + command + "\""),
+                std::string::npos)
+          << what;
+    }
+    EXPECT_EQ(LibraryWriter::to_string(lib), before) << command;
+  }
+  EXPECT_EQ(lib.cell("REGISTER").find_delay("out", "in"), nullptr);
+}
+
 }  // namespace
 }  // namespace stemcp::env

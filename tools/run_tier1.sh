@@ -25,11 +25,12 @@ SANITIZERS="${STEMCP_SANITIZE:-address,undefined}"
 # the line-protocol front end over it, and the process-global metrics.
 TSAN_FILTER='DesignService|ServiceProtocol|GlobalMetrics|Telemetry|FlightRecorder|ShardStress|ShardRecovery|FdService|GroupCommitHammer|WorkloadReplay'
 # The durability layer: raw-fd journal I/O, checkpoint rename dance, replay,
-# and the reader's append-rollback path — everything that touches memory by
+# and the library reader's rollback — everything that touches memory by
 # hand.  Run under ASan/UBSan by --asan.  The workload trace codec/scanner
 # (CRC framing, torn-tail scan, FILE* writer) belongs to the same surface,
-# and so does the seeded mutation fuzzer of their shared framed-line scanner.
-ASAN_FILTER='Journal|Crc32|FsyncPolicy|RecordCodec|Checkpoint|AtomicWrite|Persistence|IoTest|IoSeeds|ExampleDesigns|Fd|GroupCommit|Segment|Trace|Workload|Framed'
+# and so do the seeded mutation fuzzers of their shared framed-line scanner
+# and of the library reader, the one parser of loads and edits.
+ASAN_FILTER='Journal|Crc32|FsyncPolicy|RecordCodec|Checkpoint|AtomicWrite|Persistence|IoTest|IoSeeds|ExampleDesigns|Fd|GroupCommit|Segment|Trace|Workload|Framed|LibraryReaderFuzz'
 # The hottest benchmarks, smoked by --bench.
 BENCH_SMOKE="bench_fig4_5_simple_network bench_agenda_scheduling bench_design_service bench_persistence bench_latency_under_load bench_fd_selection bench_workload_replay"
 RUN_PLAIN=1
