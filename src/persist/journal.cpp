@@ -54,6 +54,21 @@ bool decode_body(std::string_view body, JournalRecord* out,
   return true;
 }
 
+/// Frame `r` as its J2 line into `*out` (cleared first); false, leaving it
+/// empty, when the request line is empty or holds a newline.
+bool frame_record(const JournalRecord& r, std::string* out) {
+  char fields[96];
+  const int n = std::snprintf(
+      fields, sizeof fields, "%llu %s %llu %llu",
+      static_cast<unsigned long long>(r.seq), r.violation ? "violation" : "ok",
+      static_cast<unsigned long long>(r.applied),
+      static_cast<unsigned long long>(r.restored));
+  out->clear();
+  return append_framed(
+      kTag, std::string_view(fields, static_cast<std::size_t>(n)), r.line,
+      out);
+}
+
 }  // namespace
 
 const char* to_string(FsyncPolicy p) {
@@ -146,15 +161,8 @@ std::string to_string(const Journal::Options& o) {
 }
 
 std::string encode_record(const JournalRecord& r) {
-  char fields[96];
-  const int n = std::snprintf(
-      fields, sizeof fields, "%llu %s %llu %llu",
-      static_cast<unsigned long long>(r.seq), r.violation ? "violation" : "ok",
-      static_cast<unsigned long long>(r.applied),
-      static_cast<unsigned long long>(r.restored));
   std::string out;
-  append_framed(kTag, std::string_view(fields, static_cast<std::size_t>(n)),
-                r.line, &out);
+  frame_record(r, &out);
   return out;
 }
 
@@ -168,6 +176,12 @@ bool decode_record(std::string_view line, JournalRecord* out,
 
 // ---------------------------------------------------------------------------
 // CommitTicket
+
+bool CommitTicket::pending() const {
+  if (state_ == nullptr) return false;
+  const std::lock_guard<std::mutex> lock(state_->mu);
+  return !state_->done;
+}
 
 bool CommitTicket::wait() {
   if (state_ == nullptr) return false;
@@ -240,11 +254,11 @@ std::unique_ptr<Journal> Journal::open(const std::string& path, Options opts,
 Journal::~Journal() {
   if (flusher_.joinable()) {
     {
-      const std::lock_guard<std::mutex> lock(gc_mu_);
-      gc_stop_ = true;
+      const std::lock_guard<std::mutex> lock(mu_);
+      stop_ = true;
     }
-    gc_cv_.notify_all();
-    flusher_.join();  // flushes (or fails) everything still queued
+    cv_.notify_all();
+    flusher_.join();  // commits (or fails) everything still queued
   }
   if (fd_ >= 0) {
     if (!dead() && opts_.fsync != FsyncPolicy::kNone) {
@@ -266,6 +280,13 @@ void Journal::set_fail_fsync_after(std::uint64_t n) {
 
 void Journal::set_fail_next_truncate() {
   fail_truncate_.store(true, std::memory_order_relaxed);
+}
+
+void Journal::add_metrics_to(core::MetricsRegistry& m) const {
+  m.add_counter("journal.bytes", bytes_written());
+  m.add_counter("journal.records", records_written());
+  const core::Histogram fsync_ns = commit_fsync_ns_.snapshot();
+  if (fsync_ns.count() > 0) m.histogram("journal.fsync_ns").merge(fsync_ns);
 }
 
 bool Journal::do_fsync(std::uint64_t* ns_out) {
@@ -347,270 +368,158 @@ bool Journal::write_lines(struct iovec* iov, std::size_t count) {
   return false;
 }
 
-// The classic synchronous append (every-record / interval / none).
-bool Journal::append_sync(JournalRecord& record) {
-  last_fsync_ns_ = 0;
-  if (dead()) {
-    append_failures_.fetch_add(1, std::memory_order_relaxed);
-    return false;
+// The one commit routine, for every policy: one vectored write of the
+// batch, the fsync the policy asks for, the segment roll, then the
+// tickets.  The flusher runs it off-lock under group commit; every other
+// policy runs it inline in append_async, under mu_.
+void Journal::commit(std::span<PendingRecord> batch) {
+  iov_.clear();
+  for (PendingRecord& p : batch) {
+    iov_.push_back({p.line.data(), p.line.size()});
   }
-  record.seq = next_seq_.load(std::memory_order_relaxed);
-  std::string line = encode_record(record);
-  struct iovec iov {line.data(), line.size()};
-  if (line.empty() || !write_lines(&iov, 1)) {
-    if (!line.empty()) dead_.store(true, std::memory_order_release);
-    append_failures_.fetch_add(1, std::memory_order_relaxed);
-    return false;
-  }
-  next_seq_.fetch_add(1, std::memory_order_relaxed);
-  records_written_.fetch_add(1, std::memory_order_relaxed);
-  ++records_since_sync_;
-
-  core::MetricsRegistry* m = opts_.metrics;
-  const bool observe = m != nullptr && m->enabled();
-  if (observe) {
-    m->add_counter("journal.bytes", line.size());
-    m->add_counter("journal.records");
-  }
-  const bool want_sync =
+  unsynced_ += batch.size();
+  const bool want_fsync =
       opts_.fsync == FsyncPolicy::kEveryRecord ||
+      opts_.fsync == FsyncPolicy::kGroupCommit ||
       (opts_.fsync == FsyncPolicy::kInterval &&
-       records_since_sync_ >= opts_.fsync_interval_records);
-  if (want_sync) {
-    if (!do_fsync(&last_fsync_ns_)) {
-      dead_.store(true, std::memory_order_release);
-      append_failures_.fetch_add(1, std::memory_order_relaxed);
-      return false;
-    }
-    records_since_sync_ = 0;
-    if (observe) {
-      m->histogram("journal.fsync_ns").record(last_fsync_ns_);
+       unsynced_ >= opts_.fsync_interval_records);
+  std::uint64_t fsync_ns = 0;
+  bool ok = write_lines(iov_.data(), iov_.size());
+  if (ok && want_fsync) {
+    ok = do_fsync(&fsync_ns);
+    if (ok) {
+      unsynced_ = 0;
+      commit_fsync_ns_.record(fsync_ns);
     }
   }
-  if (!maybe_roll_segment()) {
-    // The record IS durable; only the roll failed.  Latch so the next
-    // append reports the fault instead of writing past a failed rename.
+  if (ok) records_written_.fetch_add(batch.size(), std::memory_order_relaxed);
+  // A failed roll leaves the batch durable: its tickets complete ok, and the
+  // latch makes the next append fail instead of writing past the rename.
+  if (!ok || !maybe_roll_segment()) {
     dead_.store(true, std::memory_order_release);
   }
-  return true;
+  last_fsync_ns_.store(fsync_ns, std::memory_order_relaxed);
+  // A commit runs only on a live journal, so a dead one died in this commit.
+  const bool died = dead();
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    complete(*batch[i].state, ok, /*fault_here=*/died && i == 0, fsync_ns);
+  }
 }
 
-void Journal::complete(const std::shared_ptr<CommitTicket::State>& st, bool ok,
-                       bool fault_here, std::uint64_t fsync_ns) {
+void Journal::complete(CommitTicket::State& st, bool ok, bool fault_here,
+                       std::uint64_t fsync_ns) {
+  if (!ok) append_failures_.fetch_add(1, std::memory_order_relaxed);
   {
-    const std::lock_guard<std::mutex> lock(st->mu);
-    st->done = true;
-    st->ok = ok;
-    st->fault_here = fault_here;
-    st->fsync_ns = fsync_ns;
+    const std::lock_guard<std::mutex> lock(st.mu);
+    st.done = true;
+    st.ok = ok;
+    st.fault_here = fault_here;
+    st.fsync_ns = fsync_ns;
   }
-  st->cv.notify_all();
+  st.cv.notify_all();
 }
 
 CommitTicket Journal::append_async(JournalRecord& record) {
   CommitTicket t;
-  if (opts_.fsync != FsyncPolicy::kGroupCommit) {
-    t.state_ = std::make_shared<CommitTicket::State>();
-    const bool ok = append_sync(record);
-    t.seq_ = record.seq;
-    t.state_->done = true;
-    t.state_->ok = ok;
-    t.state_->fsync_ns = last_fsync_ns_;
+  t.state_ = std::make_shared<CommitTicket::State>();
+  std::unique_lock<std::mutex> lock(mu_);
+  // Reusing the last inline commit's line buffer keeps a one-record commit
+  // free of heap allocations beyond its ticket.
+  PendingRecord p{std::move(spare_line_), t.state_};
+  record.seq = next_seq_.load(std::memory_order_relaxed);
+  if (dead() || !frame_record(record, &p.line)) {
+    // Dead: the fault was reported once already.  Unframeable (not one
+    // request line): refused, journal unharmed.
+    complete(*t.state_, /*ok=*/false, /*fault_here=*/false, 0);
     return t;
   }
-  auto state = std::make_shared<CommitTicket::State>();
-  t.state_ = state;
-  {
-    const std::lock_guard<std::mutex> lock(gc_mu_);
-    drain_pending_metrics_locked();
-    if (dead_.load(std::memory_order_relaxed)) {
-      append_failures_.fetch_add(1, std::memory_order_relaxed);
-      state->done = true;  // already-failed ticket; fault was reported once
-      return t;
-    }
-    record.seq = next_seq_.load(std::memory_order_relaxed);
-    std::string line = encode_record(record);
-    if (line.empty()) {  // not one request line: refused, journal unharmed
-      append_failures_.fetch_add(1, std::memory_order_relaxed);
-      state->done = true;
-      return t;
-    }
-    next_seq_.fetch_add(1, std::memory_order_relaxed);
-    t.seq_ = record.seq;
-    gc_queue_.push_back(PendingRecord{std::move(line), state});
+  next_seq_.fetch_add(1, std::memory_order_relaxed);
+  t.seq_ = record.seq;
+  if (flusher_.joinable()) {
+    queue_.push_back(std::move(p));
+    lock.unlock();
+    cv_.notify_all();
+  } else {
+    commit({&p, 1});
+    spare_line_ = std::move(p.line);
   }
-  gc_cv_.notify_all();
   return t;
 }
 
 bool Journal::append(JournalRecord& record) {
-  if (opts_.fsync != FsyncPolicy::kGroupCommit) return append_sync(record);
-  CommitTicket t = append_async(record);
-  return t.wait();
-}
-
-void Journal::fail_queue_locked() {
-  append_failures_.fetch_add(gc_queue_.size(), std::memory_order_relaxed);
-  while (!gc_queue_.empty()) {
-    complete(gc_queue_.front().state, /*ok=*/false, /*fault_here=*/false, 0);
-    gc_queue_.pop_front();
-  }
-}
-
-void Journal::drain_pending_metrics_locked() {
-  const std::uint64_t bytes = pending_metric_bytes_;
-  const std::uint64_t records = pending_metric_records_;
-  pending_metric_bytes_ = 0;
-  pending_metric_records_ = 0;
-  core::MetricsRegistry* m = opts_.metrics;
-  if (m == nullptr || !m->enabled()) {
-    pending_fsync_samples_.clear();
-    return;
-  }
-  if (bytes > 0) m->add_counter("journal.bytes", bytes);
-  if (records > 0) m->add_counter("journal.records", records);
-  for (const std::uint64_t ns : pending_fsync_samples_) {
-    m->histogram("journal.fsync_ns").record(ns);
-  }
-  pending_fsync_samples_.clear();
-}
-
-bool Journal::flush_batch(std::vector<PendingRecord>& batch,
-                          std::uint64_t* fsync_ns, std::uint64_t* bytes_out) {
-  // One vectored write for the whole batch, then one fsync.
-  std::vector<struct iovec> iov;
-  iov.reserve(batch.size());
-  std::size_t total = 0;
-  for (PendingRecord& p : batch) {
-    iov.push_back({p.line.data(), p.line.size()});
-    total += p.line.size();
-  }
-  if (!write_lines(iov.data(), iov.size()) || !do_fsync(fsync_ns)) {
-    return false;
-  }
-  records_written_.fetch_add(batch.size(), std::memory_order_relaxed);
-  *bytes_out = total;
-  if (!maybe_roll_segment()) {
-    // This batch IS durable; only the roll failed.  Latch after reporting
-    // success so the tickets complete ok and the NEXT append fails.
-    dead_.store(true, std::memory_order_release);
-  }
-  return true;
+  return append_async(record).wait();
 }
 
 void Journal::flusher_loop() {
-  std::unique_lock<std::mutex> lock(gc_mu_);
+  std::vector<PendingRecord> batch;
+  std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
-    gc_cv_.wait(lock, [this] { return gc_stop_ || !gc_queue_.empty(); });
-    if (gc_queue_.empty()) {
-      gc_flush_now_ = false;
-      gc_drained_.notify_all();
-      if (gc_stop_) return;
-      continue;
-    }
-    if (dead_.load(std::memory_order_relaxed)) {
-      fail_queue_locked();
-      gc_drained_.notify_all();
+    cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
+    if (queue_.empty()) return;  // stopping, and everything is committed
+    if (dead()) {
+      for (PendingRecord& p : queue_) complete(*p.state, false, false, 0);
+      queue_.clear();
+      drained_.notify_all();
       continue;
     }
     const std::size_t max_batch = opts_.group_max_batch_records;
-    if (!gc_stop_ && !gc_flush_now_ && opts_.group_max_delay_us > 0 &&
-        gc_queue_.size() < max_batch) {
+    if (!stop_ && !flush_now_ && opts_.group_max_delay_us > 0 &&
+        queue_.size() < max_batch) {
       // Hold the batch open briefly for stragglers.  In steady state the
       // previous fsync is the real batching window and this wait is moot.
       const auto deadline =
           std::chrono::steady_clock::now() +
           std::chrono::microseconds(opts_.group_max_delay_us);
-      gc_cv_.wait_until(lock, deadline, [this, max_batch] {
-        return gc_stop_ || gc_flush_now_ || gc_queue_.size() >= max_batch;
+      cv_.wait_until(lock, deadline, [this, max_batch] {
+        return stop_ || flush_now_ || queue_.size() >= max_batch;
       });
     }
-    std::vector<PendingRecord> batch;
-    const std::size_t n = std::min(gc_queue_.size(), max_batch);
-    batch.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      batch.push_back(std::move(gc_queue_.front()));
-      gc_queue_.pop_front();
-    }
-    gc_flushing_ = true;
+    const auto end = queue_.begin() + static_cast<std::ptrdiff_t>(
+                                          std::min(queue_.size(), max_batch));
+    batch.assign(std::make_move_iterator(queue_.begin()),
+                 std::make_move_iterator(end));
+    queue_.erase(queue_.begin(), end);
+    flushing_ = true;
     lock.unlock();
-
-    std::uint64_t fsync_ns = 0;
-    std::uint64_t bytes = 0;
-    const bool ok = flush_batch(batch, &fsync_ns, &bytes);
-    if (!ok) dead_.store(true, std::memory_order_release);
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      // Exactly-once fault report: the first ticket of the failed batch.
-      complete(batch[i].state, ok, /*fault_here=*/!ok && i == 0, fsync_ns);
-    }
-
+    commit(batch);
+    batch.clear();
     lock.lock();
-    gc_flushing_ = false;
-    if (ok) {
-      pending_metric_bytes_ += bytes;
-      pending_metric_records_ += batch.size();
-      pending_fsync_samples_.push_back(fsync_ns);
-    } else {
-      append_failures_.fetch_add(batch.size(), std::memory_order_relaxed);
-      fail_queue_locked();
-    }
-    if (gc_queue_.empty()) gc_flush_now_ = false;
-    gc_drained_.notify_all();
+    flushing_ = false;
+    if (queue_.empty()) flush_now_ = false;
+    drained_.notify_all();
   }
 }
 
+// Under mu_, wait until no record is queued or being committed (or the
+// journal is dead), cutting the flusher's delay window.  Every policy but
+// group commit commits under mu_, so for them this only takes the lock.
+std::unique_lock<std::mutex> Journal::quiesce() {
+  std::unique_lock<std::mutex> lock(mu_);
+  flush_now_ = true;
+  cv_.notify_all();
+  drained_.wait(lock, [this] {
+    return (queue_.empty() && !flushing_) || dead();
+  });
+  return lock;
+}
+
 bool Journal::sync() {
-  if (opts_.fsync == FsyncPolicy::kGroupCommit) {
-    std::unique_lock<std::mutex> lock(gc_mu_);
-    // Quiesce: every queued record must be flushed (each group flush
-    // already fsyncs) before we can claim durability.
-    gc_flush_now_ = true;
-    gc_cv_.notify_all();
-    gc_drained_.wait(lock, [this] {
-      return (gc_queue_.empty() && !gc_flushing_) ||
-             dead_.load(std::memory_order_relaxed);
-    });
-    drain_pending_metrics_locked();
-    return !dead_.load(std::memory_order_relaxed);
-  }
+  const std::unique_lock<std::mutex> lock = quiesce();
   if (dead()) return false;
+  if (unsynced_ == 0) return true;  // every commit since the last fsync synced
   if (!do_fsync(nullptr)) {
     dead_.store(true, std::memory_order_release);
     return false;
   }
-  records_since_sync_ = 0;
+  unsynced_ = 0;
   return true;
 }
 
 bool Journal::truncate_all(std::uint64_t seq) {
-  if (opts_.fsync == FsyncPolicy::kGroupCommit) {
-    // Quiesce first: a queued record must never land after the cut (its
-    // waiter gets durability from the flush that precedes the truncate,
-    // and its state lives in the checkpoint that motivated the call).
-    std::unique_lock<std::mutex> lock(gc_mu_);
-    gc_flush_now_ = true;
-    gc_cv_.notify_all();
-    gc_drained_.wait(lock, [this] {
-      return (gc_queue_.empty() && !gc_flushing_) ||
-             dead_.load(std::memory_order_relaxed);
-    });
-    drain_pending_metrics_locked();
-    if (dead_.load(std::memory_order_relaxed)) return false;
-    // Flusher is idle and the queue is empty; we own the fd while holding
-    // gc_mu_ (append_async also takes it, so no record can slip in).
-    if (fail_truncate_.exchange(false, std::memory_order_relaxed) ||
-        ::ftruncate(fd_, 0) != 0 || !do_fsync(nullptr)) {
-      dead_.store(true, std::memory_order_release);
-      return false;
-    }
-    for (const std::uint64_t n : list_journal_segments(path_)) {
-      ::unlink(journal_segment_path(path_, n).c_str());
-    }
-    sealed_count_.store(0, std::memory_order_relaxed);
-    active_bytes_.store(0, std::memory_order_relaxed);
-    next_seq_.store(seq + 1, std::memory_order_relaxed);
-    return true;
-  }
+  // Quiesce first, and keep holding mu_: no record can land after the cut
+  // (a queued record's waiter gets durability from the commit before it,
+  // and its state lives in the checkpoint that motivated the call).
+  const std::unique_lock<std::mutex> lock = quiesce();
   if (dead()) return false;
   if (fail_truncate_.exchange(false, std::memory_order_relaxed) ||
       ::ftruncate(fd_, 0) != 0 || !do_fsync(nullptr)) {
@@ -623,7 +532,7 @@ bool Journal::truncate_all(std::uint64_t seq) {
   sealed_count_.store(0, std::memory_order_relaxed);
   active_bytes_.store(0, std::memory_order_relaxed);
   next_seq_.store(seq + 1, std::memory_order_relaxed);
-  records_since_sync_ = 0;
+  unsynced_ = 0;
   return true;
 }
 

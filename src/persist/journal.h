@@ -21,14 +21,23 @@
 // engine re-derives what the original execution observed.  The rendered
 // `open`/`close` requests mark attach and clean shutdown.
 //
-// Sync policy: kEveryRecord fsyncs after each append (durability boundary =
-// append returning true), kInterval fsyncs every N records, kNone leaves
-// syncing to the OS.  kGroupCommit hands records to a dedicated flusher
-// thread that coalesces everything queued — across sessions — into one
-// vectored write + one fsync, then completes every covered CommitTicket:
-// N concurrent mutating requests pay one device flush instead of N.  The
-// durability boundary moves with it: a group-commit record is durable when
-// its ticket completes, NOT when append_async returns.
+// Commit path: every record reaches the file through one commit routine —
+// one vectored write, the fsync the policy asks for, the segment roll, then
+// the CommitTickets.  kEveryRecord fsyncs every commit, kInterval every N
+// records, kNone never (the OS page cache decides).  Under those three the
+// appender runs the commit inline, so a record is durable (per policy) when
+// append_async returns.  kGroupCommit hands records to a dedicated flusher
+// thread that runs the same commit off-lock over everything queued —
+// across sessions — with one fsync: N concurrent mutating requests pay one
+// device flush instead of N, and a record is durable when its ticket
+// completes, NOT when append_async returns.
+//
+// Counting: records_written() counts committed records (written, and
+// fsynced when the policy asked); a commit whose write or fsync fails
+// counts none of its records, and the first ticket of the commit during
+// which the journal died is the one faulted() ticket.  These atomics and a
+// histogram of commit fsync times are the journal's only counters;
+// add_metrics_to() renders them as journal.* metrics.
 //
 // Segmentation: with Options::segment_bytes > 0 the journal rolls the
 // active file `<base>.journal` into sealed segments `<base>.journal.<n>`
@@ -41,8 +50,8 @@
 // Fault injection for crash tests: set_fail_after(n) makes the journal
 // write at most n more bytes — a partial final write — then go dead;
 // set_fail_fsync_after(n) lets n more fsyncs succeed and fails the next
-// (covering the append, group-flush, sync, truncate and destructor sync
-// sites); set_fail_next_truncate() fails the next ftruncate.  The
+// (covering the commit, sync, truncate and destructor sites);
+// set_fail_next_truncate() fails the next ftruncate.  The
 // STEMCP_JOURNAL_CRASH_AFTER environment knob applies the same limits to
 // every journal opened afterwards: a decimal byte count cuts the write
 // path, "flush:<n>" kills the journal on its (n+1)th flush — so a shell
@@ -57,17 +66,15 @@
 #include <deque>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
 
+#include "core/trace.h"
 #include "persist/framed.h"
-
-namespace stemcp::core {
-class MetricsRegistry;
-}
 
 namespace stemcp::persist {
 
@@ -105,32 +112,34 @@ std::string encode_record(const JournalRecord& r);
 bool decode_record(std::string_view line, JournalRecord* out,
                    std::string* error);
 
-/// Handle on one queued (or already-finished) append.  Seq-stamped at
-/// enqueue time; wait() blocks until the flusher has made the record
-/// durable (or the journal died) and returns the durability verdict.
-/// For the synchronous policies append_async completes the ticket inline,
-/// so wait() never blocks and the old durability boundary is unchanged.
+/// Handle on one appended record.  Seq-stamped at append time; wait()
+/// blocks until the commit covering the record completes and returns the
+/// durability verdict.  Every policy but group commit commits inline, so
+/// its ticket is already complete when append_async returns.
 class CommitTicket {
  public:
   CommitTicket() = default;  ///< invalid ticket: wait() fails immediately
 
   bool valid() const { return state_ != nullptr; }
   std::uint64_t seq() const { return seq_; }
+  /// True while the covering commit is still ahead (group commit only).
+  bool pending() const;
 
-  /// Block until the covering flush completes; true iff the record is
+  /// Block until the covering commit completes; true iff the record is
   /// durable.  Idempotent.
   bool wait();
 
-  // The following report on the completed flush — call only after wait().
-  /// Nanoseconds the covering batch spent inside fsync (shared by every
-  /// ticket of the batch).
+  // The following report on the completed commit — call only after wait().
+  /// Nanoseconds the covering commit spent inside fsync (shared by every
+  /// ticket of the batch; 0 when the policy asked for no fsync).
   std::uint64_t fsync_ns() const { return state_ ? state_->fsync_ns : 0; }
-  /// Nanoseconds THIS wait() call actually blocked (0 when the flush had
-  /// already completed — and always 0 for synchronous policies).
+  /// Nanoseconds THIS wait() call actually blocked (0 when the commit had
+  /// already completed — always, for an inline commit).
   std::uint64_t wait_ns() const { return wait_ns_; }
   /// True on exactly one ticket per journal death: the first ticket of the
-  /// batch whose flush failed.  The service layer uses it to report the
-  /// dead-journal degradation exactly once.
+  /// commit during which the journal died (its record is still durable when
+  /// only the segment roll after it failed).  The service layer uses it to
+  /// report the dead-journal degradation exactly once.
   bool faulted() const { return state_ != nullptr && state_->fault_here; }
 
  private:
@@ -165,9 +174,6 @@ class Journal {
     std::uint64_t segment_bytes = 0;
     bool truncate = false;  ///< start a fresh log (attach/checkpoint path)
     std::uint64_t next_seq = 1;
-    /// When set and enabled, appends record journal.bytes / journal.records
-    /// counters and the journal.fsync_ns histogram here.
-    core::MetricsRegistry* metrics = nullptr;
   };
 
   /// Open (creating if needed) `path` for appending; discovers existing
@@ -182,24 +188,23 @@ class Journal {
   Journal(const Journal&) = delete;
   Journal& operator=(const Journal&) = delete;
 
-  /// Encode, write and (per policy) fsync one record; assigns it the next
-  /// sequence number.  Blocks for durability under every policy (for
-  /// kGroupCommit it enqueues and waits on the ticket).  Returns false
-  /// once the journal is dead (fault injection or a write error) — the
-  /// in-memory session keeps working, the log just stops growing, exactly
-  /// like a crashed disk.
+  /// append_async(record).wait(): blocks until the record is committed.
+  /// Returns false once the journal is dead (fault injection or a write
+  /// error) — the in-memory session keeps working, the log just stops
+  /// growing, exactly like a crashed disk.
   bool append(JournalRecord& record);
 
-  /// Two-phase append: stamp the record's seq, hand the encoded line to the
-  /// flusher queue, and return a ticket that completes when the covering
-  /// group flush does.  For the synchronous policies this performs the
-  /// whole classic append inline and returns an already-completed ticket.
-  /// A dead journal returns an already-failed ticket.
+  /// Stamp the record's seq (the next sequence number), encode it, and
+  /// commit it: inline under every policy but group commit, so the ticket
+  /// is complete on return, and through the flusher under group commit,
+  /// whose ticket completes with the covering flush.  A dead journal, or a
+  /// line the log cannot frame, returns an already-failed ticket.
+  /// Thread-safe.
   CommitTicket append_async(JournalRecord& record);
 
   /// Flush everything appended so far to stable storage: quiesces the
-  /// group-commit queue, then fsyncs.  Returns false on failure or when
-  /// the journal is dead.
+  /// group-commit queue, then fsyncs whatever the commits left unsynced.
+  /// Returns false on failure or when the journal is dead.
   bool sync();
 
   /// Truncate the log to empty — deleting every sealed segment — and
@@ -212,8 +217,7 @@ class Journal {
   /// cut short mid-record — then refuse all further writes.
   void set_fail_after(std::uint64_t bytes);
   /// Fault injection: let `n` more fsyncs succeed, then fail the next one
-  /// (whichever site issues it: append, group flush, sync, truncate_all,
-  /// destructor).
+  /// (whichever site issues it: commit, sync, truncate_all, destructor).
   void set_fail_fsync_after(std::uint64_t n);
   /// Fault injection: fail the next ftruncate (truncate_all site).
   void set_fail_next_truncate();
@@ -222,20 +226,24 @@ class Journal {
   const std::string& path() const { return path_; }
   /// The options the journal was opened with (zero cadences raised to 1).
   const Options& options() const { return opts_; }
-  /// Nanoseconds the most recent append() spent inside fsync (0 when that
-  /// append did not sync, per policy).  The request-telemetry layer reads
-  /// this to split a request's journal phase into append vs. flush time;
-  /// group-commit requests read their ticket's fsync_ns() instead.
-  std::uint64_t last_fsync_ns() const { return last_fsync_ns_; }
+  /// Nanoseconds the most recent commit spent inside fsync (0 when the
+  /// policy asked for none).  A request's own split comes from its ticket's
+  /// fsync_ns().
+  std::uint64_t last_fsync_ns() const {
+    return last_fsync_ns_.load(std::memory_order_relaxed);
+  }
+  /// Bytes that reached the file, a torn final write included.
   std::uint64_t bytes_written() const {
     return bytes_written_.load(std::memory_order_relaxed);
   }
+  /// Records committed: written, and fsynced when the policy asked.
   std::uint64_t records_written() const {
     return records_written_.load(std::memory_order_relaxed);
   }
   std::uint64_t next_seq() const {
     return next_seq_.load(std::memory_order_relaxed);
   }
+  /// Tickets that completed without durability.
   std::uint64_t append_failures() const {
     return append_failures_.load(std::memory_order_relaxed);
   }
@@ -248,6 +256,10 @@ class Journal {
   std::uint64_t sealed_segments() const {
     return sealed_count_.load(std::memory_order_relaxed);
   }
+  /// Add the journal's counters to `m`: journal.bytes (bytes_written()),
+  /// journal.records (records_written()) and, once a commit has fsynced,
+  /// the journal.fsync_ns histogram of commit fsync times.
+  void add_metrics_to(core::MetricsRegistry& m) const;
 
  private:
   struct PendingRecord {
@@ -257,20 +269,22 @@ class Journal {
 
   Journal(std::string path, int fd, Options opts);
 
-  bool append_sync(JournalRecord& record);
   void flusher_loop();
-  bool flush_batch(std::vector<PendingRecord>& batch, std::uint64_t* fsync_ns,
-                   std::uint64_t* bytes_out);
-  bool write_lines(struct iovec* iov, std::size_t count);  ///< the write path
+  void commit(std::span<PendingRecord> batch);  ///< the one commit routine
+  bool write_lines(struct iovec* iov, std::size_t count);
   bool do_fsync(std::uint64_t* ns_out);
   bool maybe_roll_segment();
-  void fail_queue_locked();
-  void drain_pending_metrics_locked();
-  void complete(const std::shared_ptr<CommitTicket::State>& st, bool ok,
-                bool fault_here, std::uint64_t fsync_ns);
+  std::unique_lock<std::mutex> quiesce();
+  void complete(CommitTicket::State& st, bool ok, bool fault_here,
+                std::uint64_t fsync_ns);
 
   std::string path_;
-  int fd_ = -1;  ///< active segment; swapped only on the write thread
+  // The write side, touched by one commit at a time: an inline commit holds
+  // mu_, the flusher commits while flushing_ is set, and sync() /
+  // truncate_all() hold mu_ after quiesce().
+  int fd_ = -1;                    ///< active segment
+  std::uint64_t unsynced_ = 0;     ///< records written since the last fsync
+  std::vector<struct iovec> iov_;  ///< the commit's write vector, reused
   Options opts_;
 
   std::atomic<bool> dead_{false};
@@ -281,30 +295,24 @@ class Journal {
   std::atomic<std::uint64_t> fsync_count_{0};
   std::atomic<std::uint64_t> active_bytes_{0};
   std::atomic<std::uint64_t> sealed_count_{0};
-  std::uint64_t records_since_sync_ = 0;  ///< caller thread only (kInterval)
-  std::uint64_t last_fsync_ns_ = 0;       ///< caller thread only
+  std::atomic<std::uint64_t> last_fsync_ns_{0};
+  core::ConcurrentHistogram commit_fsync_ns_;
 
-  // Fault injection (atomics: armed by test threads, read on the write
-  // thread — which is the flusher under kGroupCommit).
+  // Fault injection (atomics: armed by test threads, read by the commit).
   std::atomic<std::uint64_t> fail_after_{~0ull};        ///< byte budget
   std::atomic<std::uint64_t> fail_fsync_after_{~0ull};  ///< fsync budget
   std::atomic<bool> fail_truncate_{false};
 
-  // Group-commit state (guarded by gc_mu_ unless noted).
-  std::mutex gc_mu_;
-  std::condition_variable gc_cv_;       ///< flusher wakeups
-  std::condition_variable gc_drained_;  ///< sync()/truncate_all() quiesce
-  std::deque<PendingRecord> gc_queue_;
-  bool gc_stop_ = false;
-  bool gc_flush_now_ = false;  ///< cut the delay window (sync/quiesce)
-  bool gc_flushing_ = false;   ///< a batch is out being written
-  // Metrics the flusher cannot report itself (the registry is not
-  // thread-safe and belongs to the session's caller thread); parked here and
-  // drained by the next append/sync on the caller thread.
-  std::uint64_t pending_metric_bytes_ = 0;
-  std::uint64_t pending_metric_records_ = 0;
-  std::vector<std::uint64_t> pending_fsync_samples_;
-  std::thread flusher_;  ///< started by open() under kGroupCommit
+  // Appends and the group-commit queue (guarded by mu_).
+  std::mutex mu_;
+  std::condition_variable cv_;       ///< flusher wakeups
+  std::condition_variable drained_;  ///< quiesce() waits here
+  std::deque<PendingRecord> queue_;
+  bool stop_ = false;
+  bool flush_now_ = false;  ///< cut the delay window (quiesce)
+  bool flushing_ = false;   ///< the flusher is out committing a batch
+  std::string spare_line_;  ///< the last inline commit's line, reused
+  std::thread flusher_;     ///< started by open() under kGroupCommit only
 };
 
 /// Parse the journal-options grammar

@@ -260,8 +260,11 @@ std::unique_ptr<fd::SelectionSpace> parse_selection(
   return space;
 }
 
-/// FD module selection over the session's library (tentpole; the verb is
-/// journaled so recovery re-derives the same choice deterministically).
+/// FD module selection over the session's library.  Journaled even without
+/// `commit`: costing a candidate (cost_of, valid_bbox_for) calls
+/// StemVariable::demand(), which assigns a missing class bounding box as
+/// #APPLICATION and propagates it, so a non-committing select changes state
+/// that recovery must replay.
 void do_select(DesignSession& s, const Request& r, Response& resp) {
   core::PropagationContext& ctx = s.library().context();
   const std::uint64_t restores_before = ctx.stats().restores;
@@ -370,7 +373,12 @@ void do_query(DesignSession& s, const Request& r, Response& resp) {
     core::PropagationContext& ctx = s.library().context();
     out << env::DesignReport::propagation_stats(ctx);
     if (ctx.metrics().enabled()) {
-      out << "metrics: " << ctx.metrics().to_json() << '\n';
+      // The journal's counters reach the registry when it detaches; until
+      // then they are read live.
+      core::MetricsRegistry m;
+      m.merge(ctx.metrics());
+      if (const persist::Journal* j = s.journal()) j->add_metrics_to(m);
+      out << "metrics: " << m.to_json() << '\n';
     }
     out << "requests served: " << s.requests_served() << '\n';
     if (const DesignSession::SelectionTally& t = s.selection_tally();
@@ -504,7 +512,6 @@ void do_journal(DesignSession& s, const Request& r, Response& resp,
   }
   opts.truncate = true;
   opts.next_seq = 1;
-  opts.metrics = &s.library().context().metrics();
   std::string error;
   auto j = persist::Journal::open(persist::journal_path(base), opts, &error);
   if (j == nullptr) {
@@ -579,14 +586,6 @@ void dispatch(DesignSession& s, const Request& r, Response& resp,
   }
 }
 
-/// Durability still owed after the session lock drops: under group commit
-/// the request must block on its CommitTicket (off-lock, so the next
-/// request for the session proceeds while this one waits for the flush).
-struct PendingDurability {
-  persist::CommitTicket ticket;
-  bool wait_needed = false;
-};
-
 void append_durability_warning(Response& resp) {
   // The in-memory session keeps serving (a dead log is a dead disk, not a
   // dead design), but the caller must know durability is gone.
@@ -594,40 +593,40 @@ void append_durability_warning(Response& resp) {
   resp.text += "WARNING: journal write failed; session is no longer durable";
 }
 
-/// Append the record of one SUCCESSFUL mutating request: `line` is the
-/// request as rendered before it ran (empty when nothing is owed).  A
-/// violating batch is still journaled (it mutated stats and must re-derive
-/// its restore on replay); a failed request mutated nothing and is not.
-/// Synchronous policies finish the append (and its telemetry stamps) right
-/// here; group commit only enqueues and hands the caller a ticket to wait
-/// on after the session lock is released.
-PendingDurability journal_mutation(DesignSession& s, std::string line,
-                                   Response& resp, RequestSpan* span) {
-  PendingDurability pending;
+/// Append the record of one SUCCESSFUL mutating request and return its
+/// ticket (an invalid one when nothing is owed): `line` is the request as
+/// rendered before it ran (empty when nothing is owed).  A violating batch
+/// is still journaled (it mutated stats and must re-derive its restore on
+/// replay); a failed request mutated nothing and is not.
+persist::CommitTicket journal_mutation(DesignSession& s, std::string line,
+                                       const Response& resp) {
   persist::Journal* j = s.journal();
-  if (j == nullptr || line.empty() || !resp.ok) return pending;
+  if (j == nullptr || line.empty() || !resp.ok) return {};
   persist::JournalRecord rec;
   rec.line = std::move(line);
   rec.violation = resp.violation;
   rec.applied = resp.assignments_applied;
   rec.restored = resp.variables_restored;
-  if (j->options().fsync == persist::FsyncPolicy::kGroupCommit) {
-    pending.ticket = j->append_async(rec);
-    pending.wait_needed = true;
-    return pending;
+  return j->append_async(rec);
+}
+
+/// The session options `open` takes ("metrics", "trace"), parsed for the
+/// `open` verb and for a checkpoint header alike.
+bool open_options_from(const std::string& text, bool* metrics, bool* trace,
+                       std::string* error) {
+  std::istringstream in(text);
+  std::string opt;
+  while (in >> opt) {
+    if (opt == "metrics") {
+      *metrics = true;
+    } else if (opt == "trace") {
+      *trace = true;
+    } else {
+      *error = "unknown open option '" + opt + "'";
+      return false;
+    }
   }
-  const bool was_dead = j->dead();
-  const bool appended = j->append(rec);
-  if (span != nullptr) {
-    span->t_journal_done = core::Tracer::now_ns();
-    span->fsync_ns = j->last_fsync_ns();
-    // Only the request on which the journal actually died is the anomaly;
-    // every later mutation against the already-dead log repeats the failure
-    // without being a new event.
-    span->journal_fault = !was_dead && j->dead();
-  }
-  if (!appended) append_durability_warning(resp);
-  return pending;
+  return true;
 }
 
 /// Rebuild session `r.session` from "<base>.ckpt" + "<base>.journal": load
@@ -658,23 +657,22 @@ Response do_recover(SessionManager& sessions, const Request& r,
     resp.error = "recover failed: " + log.error;
     return resp;
   }
-  // Header options: the open options, then "fsync <journal options>".  A
-  // corrupt policy word must fail recovery loudly — silently recovering
-  // with the default would change the session's durability contract
-  // behind the operator's back.
-  bool metrics = false;
-  bool trace = false;
+  // Header options: the open options, then "fsync <journal options>", each
+  // read by its own verb's parser.  A corrupt word must fail recovery
+  // loudly — silently recovering with a default would change the session's
+  // durability or metrics contract behind the operator's back.
   std::istringstream opts(log.meta.options);
+  std::string open_text;
   std::string word;
-  while (opts >> word && word != "fsync") {
-    metrics = metrics || word == "metrics";
-    trace = trace || word == "trace";
-  }
+  while (opts >> word && word != "fsync") open_text += word + ' ';
   std::string knobs;
   std::getline(opts, knobs);
+  bool metrics = false;
+  bool trace = false;
   persist::Journal::Options jopts;
   std::string error;
-  if (!persist::journal_options_from(knobs, &jopts, &error)) {
+  if (!open_options_from(open_text, &metrics, &trace, &error) ||
+      !persist::journal_options_from(knobs, &jopts, &error)) {
     resp.error = "recover failed: checkpoint header has " + error;
     return resp;
   }
@@ -752,7 +750,6 @@ Response do_recover(SessionManager& sessions, const Request& r,
   jopts.next_seq = (log.scan.records.empty() ? log.meta.seq
                                              : log.scan.records.back().seq) +
                    1;
-  jopts.metrics = &ctx.metrics();
   auto j = persist::Journal::open(persist::journal_path(base), jopts, &error);
   std::ostringstream out;
   out << "recovered " << r.session << " from " << base << ": checkpoint seq "
@@ -775,6 +772,28 @@ Response do_recover(SessionManager& sessions, const Request& r,
   resp.ok = true;
   resp.text = out.str();
   return resp;
+}
+
+/// While the session traces, its request phases land in the same ring as
+/// the engine's own events, each at the span's own stamps, so a
+/// Chrome-trace export shows queue/lock/propagate/journal slices around
+/// the propagation waves they contain.  Caller holds the session lock.
+void trace_request_phases(DesignSession& s, const RequestSpan* span) {
+  core::Tracer& tracer = s.library().context().tracer();
+  if (span == nullptr || !tracer.enabled()) return;
+  static const Phase kEmit[] = {Phase::kQueue, Phase::kLock,
+                                Phase::kPropagate, Phase::kJournal,
+                                Phase::kFsync, Phase::kFlushWait};
+  char label[48];
+  for (const Phase p : kEmit) {
+    const std::uint64_t dur = span->phase_ns(p);
+    if (dur == 0) continue;
+    std::snprintf(label, sizeof label, "req#%llu %s",
+                  static_cast<unsigned long long>(span->request_id),
+                  to_string(p));
+    tracer.emit(core::TraceEventType::kRequestPhase, label, nullptr, dur,
+                static_cast<std::uint8_t>(p), span->phase_start(p) + dur);
+  }
 }
 
 }  // namespace
@@ -1036,34 +1055,17 @@ Response DesignService::execute(const Request& r, RequestSpan* span,
   }
   dispatch(*s, r, resp, ShardIo{sessions_.get(), shard});
   if (span != nullptr) span->t_work_done = core::Tracer::now_ns();
-  const PendingDurability pending =
-      journal_mutation(*s, std::move(logged), resp, span);
-  // While the session traces, its request phases land in the same ring as
-  // the engine's own events, each at the span's own stamps, so a
-  // Chrome-trace export shows queue/lock/propagate/journal slices around
-  // the propagation waves they contain.
-  core::Tracer& tracer = s->library().context().tracer();
-  if (span != nullptr && tracer.enabled()) {
-    static const Phase kEmit[] = {Phase::kQueue, Phase::kLock,
-                                  Phase::kPropagate, Phase::kJournal,
-                                  Phase::kFsync, Phase::kFlushWait};
-    char label[48];
-    for (const Phase p : kEmit) {
-      const std::uint64_t dur = span->phase_ns(p);
-      if (dur == 0) continue;
-      std::snprintf(label, sizeof label, "req#%llu %s",
-                    static_cast<unsigned long long>(span->request_id),
-                    to_string(p));
-      tracer.emit(core::TraceEventType::kRequestPhase, label, nullptr, dur,
-                  static_cast<std::uint8_t>(p), span->phase_start(p) + dur);
-    }
-  }
-  // Group commit: the response promise resolves from the flush completion.
-  // The session lock is released FIRST, so other requests on this session
-  // batch into the same flush instead of serializing behind this wait.
-  if (pending.wait_needed) {
+  persist::CommitTicket ticket = journal_mutation(*s, std::move(logged), resp);
+  // A ticket still pending (group commit) is waited on off the session
+  // lock, so other requests on this session batch into the same flush; an
+  // inline commit's ticket is already complete and is settled under the
+  // lock.  The request's phases reach the session's trace ring while the
+  // lock still guards it.
+  if (ticket.pending()) {
+    trace_request_phases(*s, span);
     lock.unlock();
-    persist::CommitTicket ticket = pending.ticket;
+  }
+  if (ticket.valid()) {
     const bool durable = ticket.wait();
     if (span != nullptr) {
       span->t_journal_done = core::Tracer::now_ns();
@@ -1074,6 +1076,7 @@ Response DesignService::execute(const Request& r, RequestSpan* span,
     }
     if (!durable) append_durability_warning(resp);
   }
+  if (lock.owns_lock()) trace_request_phases(*s, span);
   return resp;
 }
 
@@ -1086,17 +1089,8 @@ Response DesignService::execute_lifecycle(const Request& r,
   if (r.type == RequestType::kOpen) {
     bool metrics = false;
     bool trace = false;
-    std::istringstream in(r.text);
-    std::string opt;
-    while (in >> opt) {
-      if (opt == "metrics") {
-        metrics = true;
-      } else if (opt == "trace") {
-        trace = true;
-      } else {
-        resp.error = "unknown open option '" + opt + "'";
-        return resp;
-      }
+    if (!open_options_from(r.text, &metrics, &trace, &resp.error)) {
+      return resp;
     }
     if (registry.open(r.session, metrics, trace) == nullptr) {
       resp.error = "session '" + r.session + "' already exists";

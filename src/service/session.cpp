@@ -15,6 +15,15 @@ DesignSession::DesignSession(std::string name, bool collect_metrics,
   if (collect_trace) lib_.context().tracer().set_enabled(true);
 }
 
+DesignSession::~DesignSession() { detach_journal(); }
+
+void DesignSession::detach_journal() {
+  if (journal_ == nullptr) return;
+  core::MetricsRegistry& m = lib_.context().metrics();
+  if (m.enabled()) journal_->add_metrics_to(m);
+  journal_.reset();
+}
+
 std::string DesignSession::open_options() const {
   std::string opts;
   if (opt_metrics_) opts = "metrics";

@@ -33,6 +33,7 @@ class DesignSession {
   /// `collect_trace` the structured tracer) from the first request on.
   explicit DesignSession(std::string name, bool collect_metrics = false,
                          bool collect_trace = false);
+  ~DesignSession();  ///< detaches the journal
 
   DesignSession(const DesignSession&) = delete;
   DesignSession& operator=(const DesignSession&) = delete;
@@ -83,10 +84,9 @@ class DesignSession {
     journal_ = std::move(j);
     journal_base_ = std::move(base);
   }
-  /// Release the journal (its destructor flushes and closes the file).
-  std::unique_ptr<persist::Journal> detach_journal() {
-    return std::move(journal_);
-  }
+  /// Release the journal (its destructor flushes and closes the file) and
+  /// fold its counters into the session's metrics registry.
+  void detach_journal();
 
   /// Cumulative FD module-selection work (select / select-stats requests;
   /// docs/SOLVER.md).  Guarded by mutex() like the rest of the session.

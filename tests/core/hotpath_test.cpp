@@ -11,6 +11,7 @@
 #include <new>
 
 #include "core/core.h"
+#include "persist/journal.h"
 #include "service/telemetry.h"
 #include "workload/recorder.h"
 
@@ -243,6 +244,32 @@ TEST(HotPathTest, WorkloadRecorderRecordAllocatesNothing) {
   ASSERT_TRUE(rec->finish(&err)) << err;
   EXPECT_EQ(rec->stats().records, 520u);
   EXPECT_EQ(rec->stats().drops, 0u);
+  std::remove(path.c_str());
+}
+
+// A one-record journal commit allocates nothing but its ticket: the commit
+// reuses its line buffer and write vector.
+TEST(HotPathTest, InlineJournalCommitAllocatesOnlyItsTicket) {
+  const std::string path = testing::TempDir() + "stemcp_hotpath.journal";
+  persist::Journal::Options opts;
+  opts.fsync = persist::FsyncPolicy::kNone;
+  opts.truncate = true;
+  std::string err;
+  auto j = persist::Journal::open(path, opts, &err);
+  ASSERT_NE(j, nullptr) << err;
+  persist::JournalRecord r;
+  r.line = "assign hotpath PIPE/s0.delay(in->out) 1.25e-09";
+  for (int i = 0; i < 16; ++i) {  // warm-up: buffers reach a 2-digit seq
+    ASSERT_TRUE(j->append(r));
+  }
+  constexpr std::uint64_t kAppends = 64;
+  const std::uint64_t before = alloc_count();
+  for (std::uint64_t i = 0; i < kAppends; ++i) {
+    ASSERT_TRUE(j->append(r));
+  }
+  EXPECT_EQ(alloc_count() - before, kAppends)
+      << "a steady-state append allocates its ticket and nothing else";
+  j.reset();
   std::remove(path.c_str());
 }
 

@@ -281,6 +281,31 @@ TEST(JournalTest, CrashAfterEnvironmentKnobCutsEveryNewJournal) {
   std::remove(path.c_str());
 }
 
+// One counting rule for every policy that fsyncs: a commit whose fsync
+// fails commits none of its records, and its ticket carries the journal's
+// one death marker.
+TEST(JournalTest, FailedFsyncCommitsNothingUnderEveryPolicy) {
+  for (const char* policy : {"every-record", "interval 1", "group-commit"}) {
+    SCOPED_TRACE(policy);
+    const std::string path = tmp_path("fsync_fault.journal");
+    Journal::Options opts;
+    std::string error;
+    ASSERT_TRUE(journal_options_from(policy, &opts, &error)) << error;
+    opts.truncate = true;
+    auto j = Journal::open(path, opts, &error);
+    ASSERT_NE(j, nullptr) << error;
+    j->set_fail_fsync_after(0);
+    JournalRecord r = sample_record();
+    CommitTicket t = j->append_async(r);
+    EXPECT_FALSE(t.wait());
+    EXPECT_TRUE(t.faulted());
+    EXPECT_TRUE(j->dead());
+    EXPECT_EQ(j->records_written(), 0u);
+    j.reset();
+    std::remove(path.c_str());
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Checkpoint files
 

@@ -177,6 +177,33 @@ TEST(GroupCommitServiceTest, CorruptFsyncHeaderFailsRecovery) {
       << r.error;
 }
 
+// The header's open words are read by `open`'s own parser, so an unknown
+// one fails recovery instead of being skipped.
+TEST(GroupCommitServiceTest, CorruptOpenOptionHeaderFailsRecovery) {
+  const std::string base = tmp_base("badopen");
+  remove_segments(base);
+  {
+    DesignService svc(1);
+    ASSERT_TRUE(svc.call(make(RequestType::kOpen, "main")).ok);
+    ASSERT_TRUE(
+        svc.call(make(RequestType::kJournal, "main", base + " none")).ok);
+    ASSERT_TRUE(svc.call(make(RequestType::kClose, "main")).ok);
+  }
+  const std::string ckpt_path = persist::checkpoint_path(base);
+  std::string ckpt = slurp(ckpt_path);
+  const std::size_t at = ckpt.find("options fsync none");
+  ASSERT_NE(at, std::string::npos) << ckpt;
+  ckpt.replace(at, 7, "options metrix");
+  spit(ckpt_path, ckpt);
+
+  DesignService svc(1);
+  Response r = svc.call(make(RequestType::kRecover, "main", base));
+  EXPECT_FALSE(r.ok);
+  EXPECT_NE(r.error.find("unknown open option 'metrix'"), std::string::npos)
+      << r.error;
+  EXPECT_EQ(svc.sessions().find("main"), nullptr);
+}
+
 TEST(GroupCommitServiceTest, DeadGroupJournalDegradesWithOneFaultAnomaly) {
   const std::string base = tmp_base("dead");
   remove_segments(base);

@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "core/trace.h"
 #include "persist/checkpoint.h"
 #include "persist/journal.h"
 #include "service/design_service.h"
@@ -302,6 +303,136 @@ TEST(ServicePersistenceTest, MetricsRecordJournalAndReplay) {
   r = svc2.call(make(RequestType::kQuery, "main", "stats"));
   ASSERT_TRUE(r.ok) << r.error;
   EXPECT_NE(r.text.find("recover.replay_ns"), std::string::npos) << r.text;
+}
+
+/// The decimal number right after the first `key` at or past `from`.
+std::uint64_t number_after(const std::string& text, const std::string& key,
+                           std::size_t from = 0) {
+  const std::size_t at = text.find(key, from);
+  EXPECT_NE(at, std::string::npos) << "'" << key << "' in " << text;
+  return at == std::string::npos ? 0
+                                 : std::stoull(text.substr(at + key.size()));
+}
+
+// `query stats` reads the journal's own counters live: right after a
+// group-commit session's last write, the journal.records metric counts the
+// same records as the journal: line.
+TEST(ServicePersistenceTest, StatsCountEveryRecordUnderGroupCommit) {
+  const std::string base = tmp_base("gc_stats");
+  DesignService svc(1);
+  ASSERT_TRUE(svc.call(make(RequestType::kOpen, "main", "metrics")).ok);
+  ASSERT_TRUE(
+      svc.call(make(RequestType::kJournal, "main", base + " group-commit")).ok);
+  ASSERT_TRUE(svc.call(make(RequestType::kLoad, "main", kPipeline)).ok);
+  ASSERT_TRUE(svc.call(assign(RequestType::kAssign, "main",
+                              {{"PIPE/s0.delay(in->out)", 50e-9}}))
+                  .ok);
+  ASSERT_TRUE(svc.call(assign(RequestType::kAssign, "main",
+                              {{"PIPE/s1.delay(in->out)", 60e-9}}))
+                  .ok);
+  const Response r = svc.call(make(RequestType::kQuery, "main", "stats"));
+  ASSERT_TRUE(r.ok) << r.error;
+  const std::uint64_t records =
+      number_after(r.text, " records ", r.text.find("journal: base"));
+  EXPECT_EQ(records, 4u) << r.text;  // open marker, load, two assigns
+  EXPECT_EQ(number_after(r.text, "\"journal.records\":"), records) << r.text;
+}
+
+// A closing session folds its journal's counters into its registry, and so
+// into the process-global metrics: every record written is counted, under
+// every policy.
+TEST(ServicePersistenceTest, CloseFoldsEveryRecordIntoGlobalMetrics) {
+  for (const char* policy :
+       {"every-record", "interval 8", "none", "group-commit"}) {
+    SCOPED_TRACE(policy);
+    const std::string base = tmp_base("fold");
+    const std::uint64_t before =
+        core::global_metrics_snapshot().counter("journal.records");
+    DesignService svc(1);
+    ASSERT_TRUE(svc.call(make(RequestType::kOpen, "main", "metrics")).ok);
+    ASSERT_TRUE(svc.call(make(RequestType::kJournal, "main",
+                              base + " " + policy))
+                    .ok);
+    ASSERT_TRUE(svc.call(make(RequestType::kLoad, "main", kPipeline)).ok);
+    ASSERT_TRUE(svc.call(assign(RequestType::kAssign, "main",
+                                {{"PIPE/s0.delay(in->out)", 50e-9}}))
+                    .ok);
+    ASSERT_TRUE(svc.call(assign(RequestType::kAssign, "main",
+                                {{"PIPE/s1.delay(in->out)", 60e-9}}))
+                    .ok);
+    ASSERT_TRUE(svc.call(make(RequestType::kClose, "main")).ok);
+    const persist::JournalScan scan =
+        persist::scan_journal(persist::journal_path(base));
+    ASSERT_TRUE(scan.ok()) << scan.error;
+    EXPECT_EQ(scan.records.size(), 5u);  // open, load, two assigns, close
+    EXPECT_EQ(core::global_metrics_snapshot().counter("journal.records") -
+                  before,
+              scan.records.size());
+  }
+}
+
+// A select that does not commit is still journaled: costing a realization
+// demands its class bounding box, and a missing one is computed and
+// assigned as #APPLICATION.  Recovery must replay the select to get the
+// box back.
+TEST(ServicePersistenceTest, NonCommittingSelectIsJournaledForItsBoxes) {
+  const char* kDesign = R"(cell LEAF
+  bbox 0 0 4 4
+  signal a input
+  signal out output
+  delay a out value 1e-9
+end
+cell ADD generic
+  signal a input
+  signal out output
+  delay a out
+end
+cell ADD.X super ADD
+  signal a input
+  signal out output
+  delay a out
+  subcell l LEAF R0 0 0
+  net n_in
+    io a
+    conn l a
+  net n_out
+    conn l out
+    io out
+end
+cell ALU
+  signal a input
+  signal out output
+  delay a out
+    spec <= 6e-9
+  subcell add ADD R0 0 0
+  net n_in
+    io a
+    conn add a
+  net n_out
+    conn add out
+    io out
+end
+)";
+  const std::string base = tmp_base("select_box");
+  DesignService svc(1);
+  ASSERT_TRUE(svc.call(make(RequestType::kOpen, "s")).ok);
+  ASSERT_TRUE(svc.call(make(RequestType::kJournal, "s", base + " none")).ok);
+  ASSERT_TRUE(svc.call(make(RequestType::kLoad, "s", kDesign)).ok);
+  const Request box = make(RequestType::kQuery, "s", "ADD.X.boundingBox");
+  EXPECT_EQ(svc.call(box).text, "ADD.X.boundingBox = nil (#NONE)\n");
+  const Response sel = svc.call(make(RequestType::kSelect, "s", "ALU limit 4"));
+  ASSERT_TRUE(sel.ok) << sel.error;
+  const std::string live = svc.call(box).text;
+  EXPECT_EQ(live, "ADD.X.boundingBox = [0,0 4,4] (#APPLICATION)\n");
+  ASSERT_TRUE(svc.call(make(RequestType::kClose, "s")).ok);
+
+  DesignService svc2(1);
+  const Response r = svc2.call(make(RequestType::kRecover, "s", base));
+  ASSERT_TRUE(r.ok) << r.error;
+  EXPECT_NE(r.text.find("replayed 2 record(s), 0 outcome mismatch(es)"),
+            std::string::npos)
+      << r.text;
+  EXPECT_EQ(svc2.call(box).text, live);
 }
 
 TEST(ServicePersistenceTest, FrontEndSpeaksDurabilityVerbs) {

@@ -22,8 +22,9 @@ cd "$(dirname "$0")/.."
 
 SANITIZERS="${STEMCP_SANITIZE:-address,undefined}"
 # Tests exercising shared state from multiple threads: the design service,
-# the line-protocol front end over it, and the process-global metrics.
-TSAN_FILTER='DesignService|ServiceProtocol|GlobalMetrics|Telemetry|FlightRecorder|ShardStress|ShardRecovery|FdService|GroupCommitHammer|WorkloadReplay'
+# the line-protocol front end over it, the process-global metrics, and the
+# journal, whose commit runs on the appender or on the group-commit flusher.
+TSAN_FILTER='DesignService|ServiceProtocol|GlobalMetrics|Telemetry|FlightRecorder|ShardStress|ShardRecovery|FdService|GroupCommit|Segment|JournalTest|ServicePersistence|WorkloadReplay'
 # The durability layer: raw-fd journal I/O, checkpoint rename dance, replay,
 # and the library reader's rollback — everything that touches memory by
 # hand.  Run under ASan/UBSan by --asan.  The workload trace codec/scanner
