@@ -9,6 +9,7 @@
 
 #include "bench_support.h"
 #include "service/design_service.h"
+#include "workload/synth.h"
 
 namespace {
 
@@ -19,30 +20,6 @@ using service::Request;
 using service::RequestType;
 
 constexpr double kNs = 1e-9;
-
-const char* kPipeline = R"(cell STAGE
-  signal in input
-  signal out output
-  delay in out
-end
-cell PIPE
-  signal in input
-  signal out output
-  delay in out
-    spec <= 1
-  subcell s0 STAGE R0 0 0
-  subcell s1 STAGE R0 10 0
-  net n_in
-    io in
-    conn s0 in
-  net n_mid
-    conn s0 out
-    conn s1 in
-  net n_out
-    conn s1 out
-    io out
-end
-)";
 
 Request make(RequestType t, const std::string& session, std::string text = {}) {
   Request r;
@@ -60,7 +37,8 @@ void BM_BatchAssignThroughput(benchmark::State& state) {
   for (int i = 0; i < sessions; ++i) {
     names.push_back("s" + std::to_string(i));
     svc.call(make(RequestType::kOpen, names.back()));
-    svc.call(make(RequestType::kLoad, names.back(), kPipeline));
+    svc.call(
+        make(RequestType::kLoad, names.back(), workload::pipeline_design()));
   }
 
   double d = 1 * kNs;
@@ -94,7 +72,8 @@ void BM_MixedTrafficThroughput(benchmark::State& state) {
   for (int i = 0; i < sessions; ++i) {
     names.push_back("s" + std::to_string(i));
     svc.call(make(RequestType::kOpen, names.back()));
-    svc.call(make(RequestType::kLoad, names.back(), kPipeline));
+    svc.call(
+        make(RequestType::kLoad, names.back(), workload::pipeline_design()));
   }
   double d = 1 * kNs;
   std::vector<std::future<service::Response>> inflight;

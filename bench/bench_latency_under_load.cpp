@@ -1,247 +1,90 @@
 // Latency under load: end-to-end and per-phase request latency percentiles
 // at fixed OFFERED rates, not at whatever rate the service happens to absorb.
 //
-// Methodology (cf. ssdiq benchlat / the coordinated-omission literature):
-//   * Open loop.  Request i has the absolute deadline t0 + i/rate; the
-//     generator submits at the deadline regardless of how far behind the
-//     service is, so a stall shows up as queueing latency instead of
-//     silently throttling the generator.
-//   * Latency is measured by the service's own RequestTelemetry spans, whose
-//     clock starts at submit time — i.e. it includes the queue wait a closed
-//     loop would hide.
-//   * Session popularity is zipf-ish (session k gets ~1/(k+1) of the
-//     traffic), so per-session lock contention is part of the measurement.
-//   * Traffic mix: 50% assign, 20% batch-assign, 20% query, 10% edit;
-//     every session journals with `every-record` fsync, so full durability
-//     is part of every mutating request's latency.
+// Each arm synthesizes the default workload::Scenario at its rate — 8
+// pipeline sessions w0..w7, zipf-1.0 popularity (so per-session lock
+// contention is part of the measurement), 50 % assign / 20 % batch-assign /
+// 20 % query / 10 % edit — and replays it open-loop through
+// workload::replay_records (docs/WORKLOAD.md, "Replaying"):
+//   * the sessions' opens, loads and journal attaches are answered before
+//     the clock starts;
+//   * request i then goes out at the absolute deadline t0 + i/rate and never
+//     waits on a response, so a stall shows up as queueing latency instead
+//     of silently throttling the generator (no coordinated omission);
+//   * latency is taken from the service's own telemetry spans, whose clock
+//     starts at submit, so queue wait counts.
+// Every session journals with `every-record` fsync, so full durability is
+// part of every mutating request's latency.
 //
 // Each arm is {offered rate in requests/second, shard count}, with ONE
-// worker per shard (shard-per-worker, the seastar/redis-cluster shape) and
-// every session journaled at full durability, so the shard count is the
-// only knob that changes between arms.  At one shard the single worker
-// must serialize every fsync with every propagation: at the saturating
-// rate the offered fsync time alone exceeds one worker's budget and the
-// queue grows without bound.  Sharding overlaps one shard's fsync wait
-// with other shards' propagation — a real parallelism win even on a
-// single-core host, because a worker blocked in fsync burns no CPU.  The
-// per-session work is identical across arms (same seeded request stream),
-// which the gate checks via the phase medians; per-fsync wall time rises
-// with concurrency (ext4 group commit batches concurrent fsyncs into
-// shared journal transactions) while fsync THROUGHPUT scales, which is the
-// point.  Session names are picked to spread evenly across 8 shards (and
-// therefore across 4 and 1).  The numbers land in the consolidated JSON as
-// e2e_* / queue_* / lock_* / propagate_* / journal_* / fsync_* counters
-// (ns), which bench/snapshots/BENCH_*.json snapshots and
+// worker per shard (shard-per-worker, the seastar/redis-cluster shape), so
+// the shard count is the only knob that changes between arms.  At one shard
+// the single worker must serialize every fsync with every propagation: at
+// the saturating rate the offered fsync time alone exceeds one worker's
+// budget and the queue grows without bound.  Sharding overlaps one shard's
+// fsync wait with other shards' propagation — a real parallelism win even on
+// a single-core host, because a worker blocked in fsync burns no CPU.  The
+// arms at one rate replay the identical seeded request stream, which the
+// gate checks via the phase medians; per-fsync wall time rises with
+// concurrency (ext4 group commit batches concurrent fsyncs into shared
+// journal transactions) while fsync THROUGHPUT scales, which is the point.
+// The names w0..w7 hash to 8 distinct shards, and to 2 per shard at 4
+// (tests/workload/trace_test.cpp pins this).  The numbers land in the
+// consolidated JSON as e2e_* / queue_* / lock_* / propagate_* / journal_* /
+// fsync_* counters (ns), which bench/snapshots/BENCH_*.json snapshots and
 // `tools/bench_compare.py gate --phase queue,lock` asserts (see
-// tools/run_tier1.sh --bench and docs/PERFORMANCE.md).
+// tools/run_tier1.sh --bench and docs/PERFORMANCE.md).  A failed request
+// errors its arm, and the binary exits 1.
 #include <algorithm>
-#include <chrono>
-#include <cstdint>
-#include <cstdio>
-#include <future>
+#include <filesystem>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_support.h"
-#include "service/design_service.h"
+#include "workload/replay.h"
+#include "workload/synth.h"
 
 namespace {
 
 using namespace stemcp;
-using service::Assignment;
-using service::DesignService;
-using service::Phase;
-using service::Request;
-using service::RequestType;
 
-const char* kPipeline = R"(cell STAGE
-  signal in input
-  signal out output
-  delay in out
-end
-cell PIPE
-  signal in input
-  signal out output
-  delay in out
-    spec <= 1
-  subcell s0 STAGE R0 0 0
-  subcell s1 STAGE R0 10 0
-  net n_in
-    io in
-    conn s0 in
-  net n_mid
-    conn s0 out
-    conn s1 in
-  net n_out
-    conn s1 out
-    io out
-end
-)";
-
-constexpr int kSessions = 8;
 // Each arm offers at least this many requests AND at least one second of
-// traffic at its rate (see requests_for_rate): with every-record fsync a
-// single multi-ms disk stall is always possible, and the run must be long
-// enough that one stall backs up fewer than 1% of requests — otherwise the
-// queue p99 measures the disk's worst hiccup instead of the architecture.
+// traffic at its rate: with every-record fsync a single multi-ms disk stall
+// is always possible, and the run must be long enough that one stall backs
+// up fewer than 1% of requests — otherwise the queue p99 measures the
+// disk's worst hiccup instead of the architecture.
 constexpr int kMinRequestsPerRun = 3000;
 
-int requests_for_rate(double rate_rps) {
-  return std::max(kMinRequestsPerRun, static_cast<int>(rate_rps));
-}
-
-
-/// Session names chosen so name i hashes to shard i mod 8.  Because
-/// h % 4 == (h % 8) % 4, the same names are also perfectly balanced at 4
-/// shards — every shard arm offers identical per-session request streams.
-std::vector<std::string> shard_spread_names(int count) {
-  std::vector<std::string> names;
-  names.reserve(count);
-  for (int i = 0; i < count; ++i) {
-    for (int suffix = 0;; ++suffix) {
-      std::string name = "s" + std::to_string(i);
-      if (suffix > 0) name += "_" + std::to_string(suffix);
-      if (service::ShardedSessionManager::hash_of(name) % 8 ==
-          static_cast<std::uint64_t>(i % 8)) {
-        names.push_back(std::move(name));
-        break;
-      }
-    }
-  }
-  return names;
-}
-
-Request make(RequestType t, const std::string& session,
-             std::string text = {}) {
-  Request r;
-  r.type = t;
-  r.session = session;
-  r.text = std::move(text);
-  return r;
-}
-
-/// Deterministic xorshift so every run offers the identical request stream.
-struct Rng {
-  std::uint64_t s = 0x9E3779B97F4A7C15ull;
-  std::uint64_t next() {
-    s ^= s << 13;
-    s ^= s >> 7;
-    s ^= s << 17;
-    return s;
-  }
-  std::uint64_t below(std::uint64_t n) { return next() % n; }
-};
-
-/// Zipf-ish popularity: session k is picked with weight 1/(k+1).
-int pick_session(Rng& rng) {
-  static const int kTotalWeight = [] {
-    int w = 0;
-    for (int k = 0; k < kSessions; ++k) w += 1000 / (k + 1);
-    return w;
-  }();
-  int roll = static_cast<int>(rng.below(kTotalWeight));
-  for (int k = 0; k < kSessions; ++k) {
-    roll -= 1000 / (k + 1);
-    if (roll < 0) return k;
-  }
-  return 0;
-}
-
-Request next_request(Rng& rng, const std::vector<std::string>& names,
-                     double* value) {
-  const std::string& name = names[pick_session(rng)];
-  *value += 1e-9;  // a new value every wave (one-value-change rule)
-  const std::uint64_t kind = rng.below(10);
-  if (kind < 5) {
-    Request r = make(RequestType::kAssign, name);
-    r.assignments.push_back({"PIPE/s0.delay(in->out)", *value});
-    return r;
-  }
-  if (kind < 7) {
-    Request r = make(RequestType::kBatchAssign, name);
-    r.assignments.push_back({"PIPE/s0.delay(in->out)", *value});
-    r.assignments.push_back({"PIPE/s1.delay(in->out)", *value});
-    return r;
-  }
-  if (kind < 9) {
-    return make(RequestType::kQuery, name, "PIPE.delay(in->out)");
-  }
-  return make(RequestType::kEdit, name,
-              "leaf-delay STAGE in out " + std::to_string(*value));
-}
-
-/// One {offered rate, shards} arm: fresh service, fixed request count,
-/// absolute-deadline submission, percentiles from the service's own
-/// telemetry fold.
+/// One {offered rate, shards} arm: a fresh service per replay, percentiles
+/// from the service's own telemetry fold.
 void BM_LatencyUnderLoad(benchmark::State& state) {
-  const double rate_rps = static_cast<double>(state.range(0));
-  const std::size_t shards = static_cast<std::size_t>(state.range(1));
-  const std::size_t workers_per_shard = 1;  // shard-per-worker (see header)
+  workload::Scenario sc;
+  sc.rate_rps = static_cast<double>(state.range(0));
+  sc.requests = std::max(kMinRequestsPerRun, static_cast<int>(sc.rate_rps));
+  const std::vector<workload::TraceRecord> records = workload::synthesize(sc);
+  workload::ReplayOptions opts;
+  opts.shards = static_cast<std::size_t>(state.range(1));
+  opts.workers_per_shard = 1;  // shard-per-worker (see header)
+  opts.journal_base = "lat";
+  opts.journal_spec = "every-record";
+  opts.journal_root = "bench_latency_under_load.tmp";
+  opts.collect_images = false;  // measure traffic, not the save epilogue
   for (auto _ : state) {
-    DesignService svc(workers_per_shard, shards);
-    const std::vector<std::string> names = shard_spread_names(kSessions);
-    for (int i = 0; i < kSessions; ++i) {
-      svc.call(make(RequestType::kOpen, names[i]));
-      svc.call(make(RequestType::kLoad, names[i], kPipeline));
+    workload::ReplayReport report;
+    std::string err;
+    const bool replayed =
+        workload::replay_records(records, opts, &report, &err);
+    std::filesystem::remove_all(opts.journal_root);
+    if (!replayed || report.errors > 0) {
+      if (replayed) err = std::to_string(report.errors) + " request(s) failed";
+      state.SkipWithError(err.c_str());
+      break;
     }
-    // Every session journaled with full durability.
-    char base[64];
-    std::snprintf(base, sizeof base, "bench_latency_%d_%d.tmp",
-                  static_cast<int>(rate_rps), static_cast<int>(shards));
-    for (int i = 0; i < kSessions; ++i) {
-      svc.call(make(RequestType::kJournal, names[i],
-                    std::string(base) + "_" + std::to_string(i) + " every-record"));
-    }
-
-    Rng rng;
-    double value = 1e-9;
-    const int requests = requests_for_rate(rate_rps);
-    std::vector<std::future<service::Response>> inflight;
-    inflight.reserve(requests);
-    const auto t0 = std::chrono::steady_clock::now();
-    const double period_ns = 1e9 / rate_rps;
-    for (int i = 0; i < requests; ++i) {
-      // Absolute deadline: never reschedule off the previous submit, so a
-      // slow stretch cannot quietly lower the offered rate.
-      const auto deadline =
-          t0 + std::chrono::nanoseconds(
-                   static_cast<std::int64_t>(period_ns * i));
-      std::this_thread::sleep_until(deadline);
-      inflight.push_back(svc.submit(next_request(rng, names, &value)));
-    }
-    for (auto& f : inflight) benchmark::DoNotOptimize(f.get().ok);
-
-    // Percentiles from the service's own spans (clock starts at submit, so
-    // queue wait under overload is counted — no coordinated omission).
-    const core::MetricsRegistry folded = svc.telemetry().fold();
-    static const struct {
-      Phase phase;
-      const char* key;
-    } kPhases[] = {
-        {Phase::kTotal, "e2e"},         {Phase::kQueue, "queue"},
-        {Phase::kLock, "lock"},         {Phase::kPropagate, "propagate"},
-        {Phase::kJournal, "journal"},   {Phase::kFsync, "fsync"},
-    };
-    for (const auto& row : kPhases) {
-      const core::Histogram* h = folded.find_histogram(
-          std::string("svc.lat.") + service::to_string(row.phase) + "_ns");
-      if (h != nullptr) {
-        benchsupport::counters_from_histogram(state, row.key, *h);
-      }
-    }
-    for (const auto& name : names) {
-      svc.call(make(RequestType::kClose, name));
-    }
-    for (int i = 0; i < kSessions; ++i) {
-      const std::string b = std::string(base) + "_" + std::to_string(i);
-      std::remove((b + ".journal").c_str());
-      std::remove((b + ".ckpt").c_str());
-    }
+    benchsupport::counters_from_phases(state, report.telemetry);
   }
-  state.counters["offered_rps"] = rate_rps;
-  state.counters["shards"] = static_cast<double>(shards);
-  state.SetItemsProcessed(state.iterations() * requests_for_rate(rate_rps));
+  state.counters["offered_rps"] = sc.rate_rps;
+  state.counters["shards"] = static_cast<double>(opts.shards);
+  state.SetItemsProcessed(state.iterations() * sc.requests);
 }
 // Three offered rates at 1 shard: comfortable, busy, saturating (at 12000
 // rps the offered fsync work alone overloads one worker), then the

@@ -20,6 +20,7 @@
 #include "bench_support.h"
 #include "persist/journal.h"
 #include "service/design_service.h"
+#include "workload/synth.h"
 
 namespace {
 
@@ -29,30 +30,6 @@ using service::Request;
 using service::RequestType;
 
 constexpr double kNs = 1e-9;
-
-const char* kPipeline = R"(cell STAGE
-  signal in input
-  signal out output
-  delay in out
-end
-cell PIPE
-  signal in input
-  signal out output
-  delay in out
-    spec <= 1
-  subcell s0 STAGE R0 0 0
-  subcell s1 STAGE R0 10 0
-  net n_in
-    io in
-    conn s0 in
-  net n_mid
-    conn s0 out
-    conn s1 in
-  net n_out
-    conn s1 out
-    io out
-end
-)";
 
 Request make(RequestType t, const std::string& session, std::string text = {}) {
   Request r;
@@ -95,7 +72,7 @@ void BM_JournaledAssign(benchmark::State& state) {
   remove_base(base);
   DesignService svc(1);
   svc.call(make(RequestType::kOpen, "b"));
-  svc.call(make(RequestType::kLoad, "b", kPipeline));
+  svc.call(make(RequestType::kLoad, "b", workload::pipeline_design()));
   if (mode != 0) {
     service::Response r = svc.call(make(
         RequestType::kJournal, "b", base + " " + kPolicyArg[mode]));
@@ -138,7 +115,7 @@ void BM_JournalSaturation(benchmark::State& state) {
   cfg.shards = 1;
   DesignService svc(cfg);
   svc.call(make(RequestType::kOpen, "b"));
-  svc.call(make(RequestType::kLoad, "b", kPipeline));
+  svc.call(make(RequestType::kLoad, "b", workload::pipeline_design()));
   {
     const char* policy =
         mode == 0 ? " every-record" : " group-commit batch 64 delay-us 200";
@@ -196,7 +173,7 @@ void BM_RecoveryReplay(benchmark::State& state) {
     DesignService svc(1);
     svc.call(make(RequestType::kOpen, "b"));
     svc.call(make(RequestType::kJournal, "b", base + " none"));
-    svc.call(make(RequestType::kLoad, "b", kPipeline));
+    svc.call(make(RequestType::kLoad, "b", workload::pipeline_design()));
     double d = 1 * kNs;
     for (int i = 0; i < records; ++i) {
       d += kNs;
@@ -236,7 +213,7 @@ void BM_SegmentedRecoveryReplay(benchmark::State& state) {
     DesignService svc(1);
     svc.call(make(RequestType::kOpen, "b"));
     svc.call(make(RequestType::kJournal, "b", base + " none segment 2048"));
-    svc.call(make(RequestType::kLoad, "b", kPipeline));
+    svc.call(make(RequestType::kLoad, "b", workload::pipeline_design()));
     double d = 1 * kNs;
     for (int i = 0; i < records; ++i) {
       d += kNs;

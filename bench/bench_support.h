@@ -7,7 +7,9 @@
 //     counters such as items_per_second), and
 //   - the process-global metrics registry, which every PropagationContext
 //     folds its lifetime engine Stats into on destruction,
-// so a single file per binary captures both wall time and engine work.
+// so a single file per binary captures both wall time and engine work.  A
+// run that errors (SkipWithError) is named on stderr and makes the binary
+// exit 1, after the file is written.
 // tools/bench_compare.py diffs two such files (or directories of them) and
 // flags regressions; `tools/bench_compare.py merge` concatenates several
 // into one BENCH.json.
@@ -77,6 +79,24 @@ inline void counters_from_histogram(benchmark::State& state,
   state.counters[prefix + "_max"] = static_cast<double>(h.max());
 }
 
+/// Attach a service telemetry fold's per-phase latency spreads (its
+/// svc.lat.<phase>_ns histograms) as counters: the end-to-end span as
+/// "e2e_*", the queue / lock / propagate / journal / fsync phases under their
+/// own names.  The sharding gate and the e2e p99 diff read these.
+inline void counters_from_phases(benchmark::State& state,
+                                 const core::MetricsRegistry& folded) {
+  static const char* const kPhases[][2] = {
+      {"total", "e2e"},           {"queue", "queue"},
+      {"lock", "lock"},           {"propagate", "propagate"},
+      {"journal", "journal"},     {"fsync", "fsync"}};
+  for (const auto& [phase, prefix] : kPhases) {
+    if (const core::Histogram* h = folded.find_histogram(
+            std::string("svc.lat.") + phase + "_ns")) {
+      counters_from_histogram(state, prefix, *h);
+    }
+  }
+}
+
 /// Shard-count knob for service benches: STEMCP_SHARDS=<n> overrides the
 /// bench's default shard count (unset or 0 keeps `fallback`).  The latency
 /// bench sweeps explicit shard arms instead; this knob is for one-shot runs
@@ -107,13 +127,17 @@ struct BenchResult {
 };
 
 /// Console reporter that additionally collects every non-aggregate run so
-/// bench_main can serialize them alongside the engine metrics.
+/// bench_main can serialize them alongside the engine metrics.  A run that
+/// errored (SkipWithError) is left out of the results and named in failed().
 class CollectingReporter : public benchmark::ConsoleReporter {
  public:
   void ReportRuns(const std::vector<Run>& runs) override {
     for (const Run& run : runs) {
       if (run.run_type != Run::RT_Iteration) continue;
-      if (run.error_occurred) continue;
+      if (run.error_occurred) {
+        failed_.push_back(run.benchmark_name());
+        continue;
+      }
       BenchResult r;
       r.name = run.benchmark_name();
       r.iterations = static_cast<std::int64_t>(run.iterations);
@@ -131,9 +155,11 @@ class CollectingReporter : public benchmark::ConsoleReporter {
   }
 
   const std::vector<BenchResult>& results() const { return results_; }
+  const std::vector<std::string>& failed() const { return failed_; }
 
  private:
   std::vector<BenchResult> results_;
+  std::vector<std::string> failed_;
 };
 
 /// The consolidated per-binary document: benchmark timings + the global
@@ -187,7 +213,11 @@ inline int bench_main(int argc, char** argv) {
       return 1;
     }
   }
-  return 0;
+  // An errored run must fail the binary, not just vanish from the stats.
+  for (const std::string& name : reporter.failed()) {
+    std::cerr << "bench_support: " << name << " failed\n";
+  }
+  return reporter.failed().empty() ? 0 : 1;
 }
 
 }  // namespace stemcp::benchsupport

@@ -1,15 +1,16 @@
-// Macro workload replay (ISSUE 10, docs/WORKLOAD.md): replay the COMMITTED
+// Macro workload replay (docs/WORKLOAD.md): replay the COMMITTED
 // mixed_storm scenario (examples/traces/mixed_storm.scenario) through a
 // fresh journaled DesignService, in both loops:
 //
 //   * closed loop — submit as fast as the service absorbs: the throughput
 //     arm (items_per_second = requests/s end to end, full durability).
 //   * open loop — honor the scenario's recorded arrival offsets (burst/idle
-//     phases included): the latency arm.  Percentiles come from the
-//     service's own telemetry spans, whose clock starts at submit time, so
-//     queue wait under the bursts is counted (no coordinated omission —
-//     the bench_latency_under_load methodology, driven by a trace instead
-//     of an inline generator).
+//     phases included): the latency arm.  The sessions' set-up is answered
+//     before the clock starts, and no submission waits on a response.
+//     Percentiles come from the service's own telemetry spans, whose clock
+//     starts at submit time, so queue wait under the bursts is counted (no
+//     coordinated omission).  bench_latency_under_load replays the default
+//     scenario the same way at fixed rates and shard counts.
 //
 // The e2e_p99 counter of the open-loop arm is gated by tools/run_tier1.sh
 // --bench via tools/bench_compare.py against bench/snapshots/BENCH_*.json.
@@ -61,18 +62,7 @@ void run_arm(benchmark::State& state, bool closed_loop) {
     }
     state.counters["errors"] = static_cast<double>(report.errors);
     state.counters["achieved_rps"] = report.achieved_rps();
-    static const char* kPhases[] = {"queue",   "lock", "propagate",
-                                    "journal", "fsync"};
-    if (const core::Histogram* h =
-            report.telemetry.find_histogram("svc.lat.total_ns")) {
-      benchsupport::counters_from_histogram(state, "e2e", *h);
-    }
-    for (const char* phase : kPhases) {
-      if (const core::Histogram* h = report.telemetry.find_histogram(
-              std::string("svc.lat.") + phase + "_ns")) {
-        benchsupport::counters_from_histogram(state, phase, *h);
-      }
-    }
+    benchsupport::counters_from_phases(state, report.telemetry);
     std::filesystem::remove_all(jroot);
   }
   state.counters["trace_records"] = static_cast<double>(records.size());

@@ -5,12 +5,14 @@
 // propagate, restore).  A SelectionSpace instead builds one set-domain
 // variable per generic slot whose universe is the slot's non-generic
 // candidate realizations ordered by the §8 cost heuristic (smallest area
-// first, then smallest delay), and prunes it with *arithmetic* filters
-// derived from the slot's context: the bbox/signal checks the paper already
-// treats as cheap, plus a delay-slack filter that folds each candidate's
+// first, then smallest delay), and prunes it with filters derived from the
+// slot's context: the bbox/signal checks the paper already treats as cheap,
+// plus an arithmetic delay-slack filter that folds each candidate's
 // context-adjusted delay through the parent's delay-network paths against
-// the declared BoundConstraint budgets — zero propagation probes per
-// candidate.  Generic subtrees are pruned wholesale exactly like the
+// the declared BoundConstraint budgets.  Only the bbox check of an
+// unplaced slot probes (`can_be_set_to` on the default placement, one
+// engine session and a restore); a placed slot's candidates cost no
+// propagation probe.  Generic subtrees are pruned wholesale exactly like the
 // Fig 8.3 walk: a generic that fails the filters removes all its
 // descendants at the cost of one test.  Multi-slot interaction is handled
 // by a cross-slot propagator that re-filters the remaining slots whenever

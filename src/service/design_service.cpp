@@ -554,10 +554,12 @@ void do_checkpoint(DesignSession& s, Response& resp) {
 }
 
 /// Requests whose effect the journal records: the session's mutations.
+/// `select-stats` runs the same search as `select`, so it is one too (see
+/// do_select).
 bool journaled(RequestType t) {
   return t == RequestType::kLoad || t == RequestType::kAssign ||
          t == RequestType::kBatchAssign || t == RequestType::kEdit ||
-         t == RequestType::kSelect;
+         t == RequestType::kSelect || t == RequestType::kSelectStats;
 }
 
 /// The per-session dispatch (session mutex held).  Live traffic reaches it

@@ -19,10 +19,14 @@ using service::Request;
 using service::RequestType;
 using service::Response;
 
-/// Submissions stay ahead of responses by at most this many in-flight
-/// futures — enough to keep every shard queue fed, bounded so a long trace
-/// cannot hold every response alive at once.
+/// Closed loop: submissions stay ahead of responses by at most this many
+/// in-flight futures — enough to keep every shard queue fed, bounded so a
+/// long trace cannot hold every response alive at once.
 constexpr std::size_t kMaxInflight = 4096;
+
+bool answered(const std::future<Response>& f) {
+  return f.wait_for(std::chrono::seconds(0)) == std::future_status::ready;
+}
 
 void tally(const Response& resp, ReplayReport* report) {
   if (resp.ok) {
@@ -56,23 +60,7 @@ bool replay_records(const std::vector<TraceRecord>& records,
     tally(inflight.front().get(), report);
     inflight.pop_front();
   };
-  auto submit = [&](Request req) {
-    inflight.push_back(svc.submit(std::move(req)));
-    if (inflight.size() > kMaxInflight) drain_one();
-  };
-
-  const double speed = opts.speed > 0.0 ? opts.speed : 1.0;
-  const auto t0 = std::chrono::steady_clock::now();
-  for (const TraceRecord& rec : records) {
-    if (!opts.closed_loop) {
-      // Absolute deadline off the recorded arrival: never reschedule off
-      // the previous submit, so a slow stretch cannot quietly lower the
-      // offered rate (coordinated omission).
-      const auto deadline =
-          t0 + std::chrono::nanoseconds(static_cast<std::int64_t>(
-                   static_cast<double>(rec.offset_ns) / speed));
-      std::this_thread::sleep_until(deadline);
-    }
+  auto send = [&](const TraceRecord& rec) {
     switch (rec.request.type) {
       case RequestType::kOpen:
       case RequestType::kRecover:
@@ -84,24 +72,52 @@ bool replay_records(const std::vector<TraceRecord>& records,
       default:
         break;
     }
-    const bool opened = rec.request.type == RequestType::kOpen;
-    const std::string session = rec.request.session;
-    submit(rec.request);
+    inflight.push_back(svc.submit(rec.request));
     ++report->requests;
-    if (opened && !opts.journal_base.empty()) {
+    if (rec.request.type == RequestType::kOpen && !opts.journal_base.empty()) {
       // Per-shard FIFO with one worker: this lands right after the open,
       // before any traffic the trace sends at the session.
-      submit(Request{RequestType::kJournal, session,
-                     opts.journal_base + "_" + session + " " +
-                         opts.journal_spec,
-                     {}});
+      const std::string& session = rec.request.session;
+      inflight.push_back(svc.submit(Request{
+          RequestType::kJournal, session,
+          opts.journal_base + "_" + session + " " + opts.journal_spec, {}}));
       ++report->journals_attached;
+    }
+  };
+
+  const double speed = opts.speed > 0.0 ? opts.speed : 1.0;
+  const auto first_submit = std::chrono::steady_clock::now();
+  auto next = records.begin();
+  if (!opts.closed_loop) {
+    // Set-up: the leading offset-0 records (a synthesized prologue) are
+    // answered before the clock starts, so no timed request queues behind
+    // them.
+    for (; next != records.end() && next->offset_ns == 0; ++next) send(*next);
+    while (!inflight.empty()) drain_one();
+  }
+  const auto t0 = std::chrono::steady_clock::now();
+  for (; next != records.end(); ++next) {
+    if (!opts.closed_loop) {
+      // Absolute deadline off the recorded arrival: never reschedule off
+      // the previous submit, so a slow stretch cannot quietly lower the
+      // offered rate (coordinated omission).
+      const auto deadline =
+          t0 + std::chrono::nanoseconds(static_cast<std::int64_t>(
+                   static_cast<double>(next->offset_ns) / speed));
+      std::this_thread::sleep_until(deadline);
+    }
+    send(*next);
+    if (opts.closed_loop) {
+      while (inflight.size() > kMaxInflight) drain_one();
+    } else {
+      // Nor wait on a response: collect only the answers already in.
+      while (!inflight.empty() && answered(inflight.front())) drain_one();
     }
   }
   while (!inflight.empty()) drain_one();
-  report->wall_s =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
+  report->wall_s = std::chrono::duration<double>(
+                       std::chrono::steady_clock::now() - first_submit)
+                       .count();
   report->offered_s =
       static_cast<double>(records.back().offset_ns) / 1e9 / speed;
 

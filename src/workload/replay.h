@@ -1,18 +1,28 @@
-// Trace replayer (ISSUE 10): drives a fresh DesignService with a recorded or
-// synthesized trace, either open-loop (absolute-deadline arrivals honoring
-// the recorded offsets, scaled by `speed` — the coordinated-omission-safe
-// methodology of bench_latency_under_load.cpp) or closed-loop (as fast as
-// the service absorbs, the throughput arm).  Folds the service's own
-// per-phase telemetry into a ReplayReport, and can collect each surviving
-// session's save image so a recorded trace doubles as a correctness oracle:
-// replaying it into a fresh journaled service must reproduce the live run's
-// images byte-identically (tests/workload/replay_test.cpp gates the build on
-// this).
+// Trace replayer: drives a fresh DesignService with a recorded or
+// synthesized trace in one of two loops, and folds the service's own
+// per-phase telemetry into a ReplayReport.
+//
+//   * Open loop (the default, the latency arm).  The leading offset-0
+//     records are set-up — a synthesized trace's prologue of opens and
+//     loads, plus the journal attaches `journal_base` injects — and are
+//     answered before the clock starts, so no timed request queues behind
+//     them.  Every later record goes out at its absolute deadline
+//     t0 + offset / speed and never waits on a response: the loop collects
+//     only answers already in, so a stalled service piles queue wait onto
+//     later requests instead of throttling the arrivals (no coordinated
+//     omission).
+//   * Closed loop (the throughput arm).  Offsets are ignored; submissions
+//     run at most 4,096 responses ahead.
+//
+// The replayer can collect each surviving session's save image, so a
+// recorded trace doubles as a correctness oracle: replaying it into a fresh
+// journaled service must reproduce the live run's images byte-identically
+// (tests/workload/replay_test.cpp gates the build on this).
 //
 // Determinism contract: per-session request order is the per-shard FIFO
 // order, preserved end-to-end only when each shard has ONE worker — the
-// default here, as in the latency bench.  More workers make the replay a
-// load generator, not an oracle.
+// default here, as in bench_latency_under_load.  More workers make the
+// replay a load generator, not an oracle.
 #pragma once
 
 #include <cstdint>

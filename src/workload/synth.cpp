@@ -14,8 +14,8 @@ namespace {
 using service::Request;
 using service::RequestType;
 
-// The PIPE design of bench_latency_under_load: two STAGE subcells under a
-// parent delay spec, so assigns propagate and can violate.
+// The PIPE design: two STAGE subcells under a parent delay spec, so assigns
+// propagate and can violate.
 const char* kPipeline = R"(cell STAGE
   signal in input
   signal out output
@@ -74,7 +74,7 @@ cell ALU
 end
 )";
 
-/// Deterministic xorshift64 (bench_latency_under_load's generator, seedable).
+/// Deterministic seeded xorshift64.
 struct Rng {
   std::uint64_t s;
   explicit Rng(std::uint64_t seed) : s(seed ^ 0x9E3779B97F4A7C15ull) {
@@ -289,15 +289,15 @@ std::vector<TraceRecord> synthesize(const Scenario& sc) {
     records.push_back(std::move(rec));
   };
 
-  // Prologue: every session opened and loaded at t=0 (not part of the timed
-  // traffic — the replayer fires offset-0 records immediately).
+  // Prologue: every session opened and loaded at offset 0.  This is set-up,
+  // not timed traffic: the open-loop replayer submits the offset-0 records
+  // and waits for their answers before it starts its clock.
   for (int k = 0; k < sc.sessions; ++k) {
     emit(0, make(RequestType::kOpen, session_name(k)));
     emit(0, make(RequestType::kLoad, session_name(k), design));
   }
 
-  // Zipf-ish popularity, generalized from bench_latency_under_load:
-  // session k draws with weight 1e6 / (k+1)^skew.
+  // Zipf-ish popularity: session k draws with weight 1e6 / (k+1)^skew.
   std::vector<std::uint64_t> cumulative;
   cumulative.reserve(static_cast<std::size_t>(sc.sessions));
   std::uint64_t total_weight = 0;

@@ -1,9 +1,11 @@
-// Deterministic trace synthesizer (ISSUE 10): turns a small scenario spec
-// into a workload trace — seeded xorshift, zipf-skewed session popularity,
+// Deterministic trace synthesizer: turns a small scenario spec into a
+// workload trace — seeded xorshift, zipf-skewed session popularity,
 // burst/idle arrival phases, a mixed request stream (assign / batch-assign /
 // query / edit / select), and session churn — so macro benchmarks replay the
-// identical request stream on every run (cf. bench_latency_under_load.cpp,
-// whose traffic model this generalizes).
+// identical request stream on every run.  It is the one traffic generator of
+// the service benches: bench_latency_under_load replays the default
+// Scenario at each arm's rate, bench_workload_replay the committed
+// mixed_storm scenario.
 //
 // Scenario files are strict line-based key/value text:
 //
@@ -52,9 +54,10 @@ struct Scenario {
   std::string design = "pipeline";  ///< "pipeline" | "selection"
 };
 
-/// The two committed design texts traffic runs against.  `pipeline` is the
-/// two-stage PIPE of bench_latency_under_load; `selection` adds the generic
-/// ADD slot + realizations of the FD demos so `select` traffic has work.
+/// The two committed design texts traffic runs against.  `pipeline` is a
+/// two-stage PIPE (also what bench_design_service and bench_persistence
+/// load); `selection` adds the generic ADD slot + realizations of the FD
+/// demos so `select` traffic has work.
 const char* pipeline_design();
 const char* selection_design();
 /// The library text a scenario's sessions load.
@@ -70,7 +73,9 @@ std::string scenario_to_string(const Scenario& sc);
 
 /// Generate the trace: a prologue (open+load per session, offset 0), then
 /// `requests` traffic records with arrival offsets from the burst/idle rate
-/// schedule.  Pure function of the scenario — identical bytes every call.
+/// schedule, the first at offset 0.  The open-loop replayer answers the
+/// offset-0 records before its clock starts.  Pure function of the
+/// scenario — identical bytes every call.
 std::vector<TraceRecord> synthesize(const Scenario& sc);
 
 /// synthesize() straight into a trace file.

@@ -71,7 +71,9 @@ TEST(FdServiceTest, SelectEndToEnd) {
   ASSERT_TRUE(svc.call(make(RequestType::kOpen, "s")).ok);
   ASSERT_TRUE(svc.call(make(RequestType::kLoad, "s", kSelectionDesign)).ok);
 
-  // Dry run: exploration counters, nothing mutated.
+  // Dry run: exploration counters, no realization committed.  The search
+  // can still assign a realization's missing bounding box, which is why
+  // select-stats is journaled; both realizations here declare theirs.
   Response stats = svc.call(make(RequestType::kSelectStats, "s", "ALU"));
   ASSERT_TRUE(stats.ok) << stats.error;
   EXPECT_NE(stats.text.find("solutions: 1"), std::string::npos) << stats.text;

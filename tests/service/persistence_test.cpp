@@ -371,10 +371,10 @@ TEST(ServicePersistenceTest, CloseFoldsEveryRecordIntoGlobalMetrics) {
   }
 }
 
-// A select that does not commit is still journaled: costing a realization
-// demands its class bounding box, and a missing one is computed and
-// assigned as #APPLICATION.  Recovery must replay the select to get the
-// box back.
+// A select that does not commit, and a select-stats, is still journaled:
+// costing a realization demands its class bounding box, and a missing one
+// is computed and assigned as #APPLICATION.  Recovery must replay the
+// search to get the box back.
 TEST(ServicePersistenceTest, NonCommittingSelectIsJournaledForItsBoxes) {
   const char* kDesign = R"(cell LEAF
   bbox 0 0 4 4
@@ -413,26 +413,33 @@ cell ALU
     io out
 end
 )";
-  const std::string base = tmp_base("select_box");
-  DesignService svc(1);
-  ASSERT_TRUE(svc.call(make(RequestType::kOpen, "s")).ok);
-  ASSERT_TRUE(svc.call(make(RequestType::kJournal, "s", base + " none")).ok);
-  ASSERT_TRUE(svc.call(make(RequestType::kLoad, "s", kDesign)).ok);
-  const Request box = make(RequestType::kQuery, "s", "ADD.X.boundingBox");
-  EXPECT_EQ(svc.call(box).text, "ADD.X.boundingBox = nil (#NONE)\n");
-  const Response sel = svc.call(make(RequestType::kSelect, "s", "ALU limit 4"));
-  ASSERT_TRUE(sel.ok) << sel.error;
-  const std::string live = svc.call(box).text;
-  EXPECT_EQ(live, "ADD.X.boundingBox = [0,0 4,4] (#APPLICATION)\n");
-  ASSERT_TRUE(svc.call(make(RequestType::kClose, "s")).ok);
+  // select-stats runs the same search as select, so it is journaled too.
+  for (const RequestType verb :
+       {RequestType::kSelect, RequestType::kSelectStats}) {
+    SCOPED_TRACE(service::to_string(verb));
+    const std::string base =
+        tmp_base(std::string("select_box_") + service::to_string(verb));
+    DesignService svc(1);
+    ASSERT_TRUE(svc.call(make(RequestType::kOpen, "s")).ok);
+    ASSERT_TRUE(
+        svc.call(make(RequestType::kJournal, "s", base + " none")).ok);
+    ASSERT_TRUE(svc.call(make(RequestType::kLoad, "s", kDesign)).ok);
+    const Request box = make(RequestType::kQuery, "s", "ADD.X.boundingBox");
+    EXPECT_EQ(svc.call(box).text, "ADD.X.boundingBox = nil (#NONE)\n");
+    const Response sel = svc.call(make(verb, "s", "ALU limit 4"));
+    ASSERT_TRUE(sel.ok) << sel.error;
+    const std::string live = svc.call(box).text;
+    EXPECT_EQ(live, "ADD.X.boundingBox = [0,0 4,4] (#APPLICATION)\n");
+    ASSERT_TRUE(svc.call(make(RequestType::kClose, "s")).ok);
 
-  DesignService svc2(1);
-  const Response r = svc2.call(make(RequestType::kRecover, "s", base));
-  ASSERT_TRUE(r.ok) << r.error;
-  EXPECT_NE(r.text.find("replayed 2 record(s), 0 outcome mismatch(es)"),
-            std::string::npos)
-      << r.text;
-  EXPECT_EQ(svc2.call(box).text, live);
+    DesignService svc2(1);
+    const Response r = svc2.call(make(RequestType::kRecover, "s", base));
+    ASSERT_TRUE(r.ok) << r.error;
+    EXPECT_NE(r.text.find("replayed 2 record(s), 0 outcome mismatch(es)"),
+              std::string::npos)
+        << r.text;
+    EXPECT_EQ(svc2.call(box).text, live);
+  }
 }
 
 TEST(ServicePersistenceTest, FrontEndSpeaksDurabilityVerbs) {

@@ -5,13 +5,19 @@
 // run's — then recover a session from the replay's own journal and require
 // the same bytes a third time.  Fixture names carry "WorkloadReplay" so the
 // tier-1 TSAN lane picks them up (tools/run_tier1.sh).
+#include <fcntl.h>
 #include <gtest/gtest.h>
+#include <sys/stat.h>
+#include <unistd.h>
 
+#include <algorithm>
+#include <chrono>
 #include <filesystem>
 #include <future>
 #include <thread>
 #include <vector>
 
+#include "persist/checkpoint.h"
 #include "service/design_service.h"
 #include "workload/recorder.h"
 #include "workload/replay.h"
@@ -145,6 +151,95 @@ TEST(WorkloadReplayTest, OpenLoopHonorsRecordedOffsets) {
   ASSERT_TRUE(workload::replay_records(records, fast, &quick, &err)) << err;
   EXPECT_GE(quick.wall_s, quick.offered_s * 0.95);
   EXPECT_LT(quick.offered_s, report.offered_s / 5.0);
+}
+
+// Open loop: the offset-0 set-up (every open and load, and the journal
+// attach after each open) is answered before the clock starts, so the first
+// timed request goes out after the slowest set-up request has returned.
+TEST(WorkloadReplayTest, OpenLoopStartsItsClockAfterTheSetUp) {
+  const std::string dir = fresh_dir("setup");
+  Scenario sc;
+  sc.sessions = 2;
+  sc.rate_rps = 10000;
+  sc.requests = 20;
+  const std::vector<workload::TraceRecord> records = workload::synthesize(sc);
+  std::size_t setup = 0;  // offset-0 records and their journal attaches
+  for (const workload::TraceRecord& rec : records) {
+    if (rec.offset_ns != 0) break;
+    setup += rec.request.type == RequestType::kOpen ? 2 : 1;
+  }
+  std::string err;
+  auto recorder = TraceRecorder::open(dir + "/run.trace", &err);
+  ASSERT_NE(recorder, nullptr) << err;
+  ReplayOptions opts;  // open-loop is the default
+  opts.journal_base = "su";
+  opts.journal_spec = "every-record";
+  opts.journal_root = dir + "/journals";
+  opts.recorder = recorder.get();
+  ReplayReport report;
+  ASSERT_TRUE(workload::replay_records(records, opts, &report, &err)) << err;
+  ASSERT_TRUE(recorder->finish(&err)) << err;
+  EXPECT_EQ(report.errors, 0u);
+
+  std::uint64_t slowest_setup_ns = 0;
+  for (const char* verb : {"open", "journal", "load"}) {
+    const core::Histogram* h = report.telemetry.find_histogram(
+        std::string("svc.lat.e2e.") + verb + "_ns");
+    ASSERT_NE(h, nullptr) << verb;
+    slowest_setup_ns = std::max(slowest_setup_ns, h->max());
+  }
+  const TraceScan scan = workload::scan_trace_file(dir + "/run.trace");
+  ASSERT_TRUE(scan.error.empty()) << scan.error;
+  ASSERT_GT(scan.records.size(), setup);
+  EXPECT_GE(scan.records[setup].offset_ns, slowest_setup_ns);
+}
+
+// Open loop never waits on a response: with the only worker held by a
+// `recover` blocked opening a FIFO checkpoint, every query due behind it is
+// still submitted.
+TEST(WorkloadReplayTest, OpenLoopNeverWaitsOnAResponse) {
+  const std::string dir = fresh_dir("never_waits");
+  const std::string base = dir + "/held";
+  const std::string fifo = persist::checkpoint_path(base);
+  ASSERT_EQ(::mkfifo(fifo.c_str(), 0600), 0);
+  std::vector<workload::TraceRecord> records;
+  auto add = [&records](Request r) {
+    workload::TraceRecord rec;
+    rec.offset_ns = records.size() + 1;  // 1 ns apart; no offset-0 set-up
+    rec.request = std::move(r);
+    records.push_back(std::move(rec));
+  };
+  add(Request{RequestType::kRecover, "held", base, {}});
+  for (int i = 0; i < 5000; ++i) {
+    add(Request{RequestType::kQuery, "held", "PIPE.delay(in->out)", {}});
+  }
+  std::string err;
+  auto recorder = TraceRecorder::open(dir + "/run.trace", &err);
+  ASSERT_NE(recorder, nullptr) << err;
+  ReplayOptions opts;  // open loop, one shard, one worker
+  opts.recorder = recorder.get();
+  opts.collect_images = false;
+  ReplayReport report;
+  bool replayed = false;
+  std::thread replay([&] {
+    replayed = workload::replay_records(records, opts, &report, &err);
+  });
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (recorder->stats().records < records.size() &&
+         std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  const std::uint64_t submitted = recorder->stats().records;
+  // Release the worker: the recover's open returns once a writer opens the
+  // FIFO, and it reads an empty checkpoint.
+  const int fd = ::open(fifo.c_str(), O_WRONLY);
+  EXPECT_GE(fd, 0);
+  if (fd >= 0) ::close(fd);
+  replay.join();
+  EXPECT_EQ(submitted, records.size());
+  ASSERT_TRUE(replayed) << err;
+  EXPECT_EQ(report.requests, records.size());
 }
 
 TEST(WorkloadReplayTest, ReportTalliesOutcomesAndTelemetry) {

@@ -6,10 +6,12 @@
 
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "service/design_service.h"
 #include "service/protocol.h"
 #include "workload/synth.h"
 #include "workload/trace.h"
@@ -431,6 +433,31 @@ TEST(WorkloadScenarioTest, CommittedScenariosParseAndSynthesize) {
     EXPECT_EQ(sc.name, name);
     const std::vector<TraceRecord> records = workload::synthesize(sc);
     EXPECT_GE(records.size(), static_cast<std::size_t>(sc.requests));
+  }
+}
+
+// The default scenario's sessions w0..w7 hash to 8 distinct shards, and to
+// 2 per shard at 4, so every shard arm of bench_latency_under_load offers
+// each shard the same share of sessions.
+TEST(WorkloadScenarioTest, DefaultSessionsSpreadEvenlyOverShards) {
+  Scenario sc;
+  sc.requests = 1;
+  std::vector<std::string> sessions;
+  for (const TraceRecord& rec : workload::synthesize(sc)) {
+    if (rec.request.type == service::RequestType::kOpen) {
+      sessions.push_back(rec.request.session);
+    }
+  }
+  ASSERT_EQ(sessions.size(), 8u);
+  for (const std::uint64_t shards : {8u, 4u}) {
+    std::map<std::uint64_t, std::size_t> per_shard;
+    for (const std::string& s : sessions) {
+      ++per_shard[service::ShardedSessionManager::hash_of(s) % shards];
+    }
+    EXPECT_EQ(per_shard.size(), shards);
+    for (const auto& [shard, count] : per_shard) {
+      EXPECT_EQ(count, sessions.size() / shards) << "shard " << shard;
+    }
   }
 }
 

@@ -123,6 +123,17 @@ PY
   return "$rc"
 }
 
+check_latency_smoke() {
+  local bench tmp rc=0
+  bench="$PWD/build/bench/bench_latency_under_load"
+  tmp="$(mktemp -d)"
+  # From a scratch directory: the arm journals under the working directory.
+  (cd "$tmp" && STEMCP_BENCH_STATS=- "$bench" \
+    --benchmark_filter=BM_LatencyUnderLoad/12000/8) || rc=1
+  rm -rf "$tmp"
+  return "$rc"
+}
+
 if [[ "$RUN_PLAIN" == 1 ]]; then
   echo "== tier-1: plain =="
   run_suite build
@@ -133,6 +144,11 @@ if [[ "$RUN_PLAIN" == 1 ]]; then
   # flight dumps of a traced service session, and a metrics export.
   echo "== tier-1: telemetry exports parse =="
   check_telemetry_exports
+  # Latency smoke: the saturating 8-shard arm of the latency bench replays
+  # 12,024 synthesized requests open-loop with every-record journals (about
+  # 1 s).  Any failed request errors the arm, and the bench exits 1.
+  echo "== tier-1: latency smoke (BM_LatencyUnderLoad/12000/8) =="
+  check_latency_smoke
   # The end-to-end benchmark's smoke (bench/e2e, its own Release package):
   # every session of all four workloads is recovered and must come back
   # byte-identical with zero outcome mismatches — the recovery oracle over
