@@ -4,46 +4,15 @@
 //
 // We sweep the number of variables V and the constraints-per-variable
 // density D independently; the time per full propagation should scale with
-// the product V*D (the sum above), not with V or D alone.
+// the product V*D (the sum above), not with V or D alone.  The lattice and
+// its shapes live in lattice_network.h, which the experiment-count tests
+// share.
 #include <benchmark/benchmark.h>
 
-#include <memory>
-#include <vector>
-
-#include "core/core.h"
+#include "lattice_network.h"
 
 using namespace stemcp::core;
-
-namespace {
-
-/// A lattice: V variables in a chain carrying the value (equality), plus D-1
-/// additional predicate constraints attached to every variable (each must be
-/// visited and checked during propagation).
-struct Lattice {
-  PropagationContext ctx;
-  std::vector<std::unique_ptr<Variable>> vars;
-
-  Lattice(int v, int density) {
-    for (int i = 0; i < v; ++i) {
-      vars.push_back(
-          std::make_unique<Variable>(ctx, "l", "v" + std::to_string(i)));
-    }
-    for (int i = 0; i + 1 < v; ++i) {
-      EqualityConstraint::among(ctx, {vars[static_cast<std::size_t>(i)].get(),
-                                      vars[static_cast<std::size_t>(i) + 1]
-                                          .get()});
-    }
-    for (auto& var : vars) {
-      for (int d = 0; d + 1 < density; ++d) {
-        auto& c = ctx.make<BoundConstraint>(Relation::kLessEqual,
-                                            Value(1e18));
-        c.basic_add_argument(*var);
-      }
-    }
-  }
-};
-
-}  // namespace
+using stemcp::lattice::Lattice;
 
 static void BM_SumOfConstraintsOverVariables(benchmark::State& state) {
   const int v = static_cast<int>(state.range(0));
@@ -62,18 +31,13 @@ static void BM_SumOfConstraintsOverVariables(benchmark::State& state) {
                          benchmark::Counter::kAvgIterations);
   state.SetComplexityN(static_cast<std::int64_t>(sum));
 }
-// Same sum reached three ways: many sparse variables, few dense variables,
-// and balanced — times should cluster per sum, not per shape.
+// Same sum reached three ways: times should cluster per sum, not per shape.
 BENCHMARK(BM_SumOfConstraintsOverVariables)
-    ->Args({1024, 2})    // sum ~ 3k
-    ->Args({512, 4})     // sum ~ 3k
-    ->Args({128, 16})    // sum ~ 2.3k
-    ->Args({2048, 2})    // sum ~ 6k
-    ->Args({1024, 4})    // sum ~ 6k
-    ->Args({256, 16})    // sum ~ 4.6k
-    ->Args({4096, 2})
-    ->Args({2048, 4})
-    ->Args({512, 16})
+    ->Apply([](benchmark::internal::Benchmark* b) {
+      for (const auto& shape : stemcp::lattice::kShapes) {
+        b->Args({shape[0], shape[1]});
+      }
+    })
     ->Complexity();
 
 #include "bench_support.h"

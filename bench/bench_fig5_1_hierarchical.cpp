@@ -6,93 +6,36 @@
 // at the head propagates the internal chain ONCE and then crosses the
 // implicit links to the N instances: cost ~ M + N.  Flattened — as a system
 // without class/instance abstraction would represent it — the internal
-// chain is replicated per instance: cost ~ N * M.
+// chain is replicated per instance: cost ~ N * M.  The networks live in
+// fig5_1_network.h, which the experiment-count tests share.
 #include <benchmark/benchmark.h>
 
-#include <memory>
-#include <vector>
-
-#include "core/core.h"
-#include "stem/hierarchy.h"
+#include "fig5_1_network.h"
 
 using namespace stemcp;
-using core::PropagationContext;
-using core::UniAdditionConstraint;
 using core::Value;
-using core::Variable;
 
 namespace {
 
-/// Instance-side dual that mirrors the class value (the generic behaviour
-/// of property duals).
-class MirrorInstanceVar : public env::InstanceVar {
- public:
-  using env::InstanceVar::InstanceVar;
-
-  core::Status immediate_inference_by_changing(Variable& changed) override {
-    if (&changed != class_dual() || changed.value().is_nil()) {
-      return core::Status::ok();
-    }
-    return set_from_constraint(
-        changed.value(), *class_dual(),
-        core::Justification::propagated(
-            *class_dual(), core::DependencyRecord::single(*class_dual())));
+template <typename Network>
+void run_head_changes(benchmark::State& state) {
+  Network net(static_cast<int>(state.range(0)),
+              static_cast<int>(state.range(1)));
+  double next = 1.0;
+  for (auto _ : state) {
+    net.head.set_user(Value(next));
+    next += 1.0;
   }
-};
-
-void build_chain(PropagationContext& ctx,
-                 std::vector<std::unique_ptr<Variable>>& vars, Variable& head,
-                 Variable& tail, int length, const std::string& tag) {
-  Variable* prev = &head;
-  for (int i = 0; i < length; ++i) {
-    Variable* next;
-    if (i + 1 == length) {
-      next = &tail;
-    } else {
-      vars.push_back(std::make_unique<Variable>(
-          ctx, tag, "x" + std::to_string(i)));
-      next = vars.back().get();
-    }
-    auto& add = ctx.make<UniAdditionConstraint>(1.0);
-    add.set_result(*next);
-    add.basic_add_argument(*prev);
-    prev = next;
-  }
+  state.counters["assignments/op"] =
+      benchmark::Counter(static_cast<double>(net.ctx.stats().assignments),
+                         benchmark::Counter::kAvgIterations);
 }
 
 }  // namespace
 
 // Hierarchical: one internal chain, N implicit duals, N external consumers.
 static void BM_Hierarchical(benchmark::State& state) {
-  const int instances = static_cast<int>(state.range(0));
-  const int internal = static_cast<int>(state.range(1));
-  PropagationContext ctx;
-  Variable head(ctx, "CELL", "head");
-  env::ClassVar characteristic(ctx, "CELL", "delay");
-  std::vector<std::unique_ptr<Variable>> chain_vars;
-  build_chain(ctx, chain_vars, head, characteristic, internal, "CELL");
-
-  std::vector<std::unique_ptr<MirrorInstanceVar>> duals;
-  std::vector<std::unique_ptr<Variable>> external;
-  for (int i = 0; i < instances; ++i) {
-    duals.push_back(std::make_unique<MirrorInstanceVar>(
-        ctx, "top/i" + std::to_string(i), "delay", &characteristic));
-    // Each instance feeds one external consumer (its context network).
-    external.push_back(std::make_unique<Variable>(
-        ctx, "top/i" + std::to_string(i), "pathDelay"));
-    auto& add = ctx.make<UniAdditionConstraint>(5.0);
-    add.set_result(*external.back());
-    add.basic_add_argument(*duals.back());
-  }
-
-  double next = 1.0;
-  for (auto _ : state) {
-    head.set_user(Value(next));
-    next += 1.0;
-  }
-  state.counters["assignments/op"] =
-      benchmark::Counter(static_cast<double>(ctx.stats().assignments),
-                         benchmark::Counter::kAvgIterations);
+  run_head_changes<fig5_1::Hierarchical>(state);
 }
 BENCHMARK(BM_Hierarchical)
     ->ArgsProduct({{1, 4, 16, 64}, {64}})
@@ -100,38 +43,7 @@ BENCHMARK(BM_Hierarchical)
 
 // Flat: the internal chain replicated once per instance (no abstraction).
 static void BM_Flat(benchmark::State& state) {
-  const int instances = static_cast<int>(state.range(0));
-  const int internal = static_cast<int>(state.range(1));
-  PropagationContext ctx;
-  Variable head(ctx, "FLAT", "head");
-  auto& fan = ctx.make<core::EqualityConstraint>();
-  fan.basic_add_argument(head);
-
-  std::vector<std::unique_ptr<Variable>> storage;
-  for (int i = 0; i < instances; ++i) {
-    const std::string tag = "flat/i" + std::to_string(i);
-    storage.push_back(std::make_unique<Variable>(ctx, tag, "head"));
-    Variable& local_head = *storage.back();
-    fan.basic_add_argument(local_head);
-    storage.push_back(std::make_unique<Variable>(ctx, tag, "delay"));
-    Variable& local_tail = *storage.back();
-    std::vector<std::unique_ptr<Variable>> chain_vars;
-    build_chain(ctx, chain_vars, local_head, local_tail, internal, tag);
-    for (auto& v : chain_vars) storage.push_back(std::move(v));
-    storage.push_back(std::make_unique<Variable>(ctx, tag, "pathDelay"));
-    auto& add = ctx.make<UniAdditionConstraint>(5.0);
-    add.set_result(*storage.back());
-    add.basic_add_argument(local_tail);
-  }
-
-  double next = 1.0;
-  for (auto _ : state) {
-    head.set_user(Value(next));
-    next += 1.0;
-  }
-  state.counters["assignments/op"] =
-      benchmark::Counter(static_cast<double>(ctx.stats().assignments),
-                         benchmark::Counter::kAvgIterations);
+  run_head_changes<fig5_1::Flat>(state);
 }
 BENCHMARK(BM_Flat)
     ->ArgsProduct({{1, 4, 16, 64}, {64}})

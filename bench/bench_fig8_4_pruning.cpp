@@ -4,63 +4,9 @@
 // rules out its whole subtree.
 #include <benchmark/benchmark.h>
 
-#include "stem/stem.h"
+#include "selection_tree.h"
 
-using namespace stemcp;
-using core::BoundConstraint;
-using core::Rect;
-using core::Value;
-using env::SignalDirection;
-
-namespace {
-constexpr double kNs = 1e-9;
-
-/// A generic root with `families` generic subtrees of `leaves` leaves each.
-/// Only the last family's subtree can meet the delay budget.
-struct Tree {
-  env::Library lib;
-  env::CellClass* root;
-  env::CellInstance* slot;
-
-  Tree(int families, int leaves) {
-    root = &lib.define_cell("GEN");
-    root->set_generic(true);
-    root->declare_signal("in", SignalDirection::kInput);
-    root->declare_signal("out", SignalDirection::kOutput);
-    root->declare_delay("in", "out");
-    for (int f = 0; f < families; ++f) {
-      auto& fam = lib.define_cell("FAM" + std::to_string(f), root);
-      fam.set_generic(true);
-      const bool feasible = f + 1 == families;
-      // Ideal (best-case) characteristics on the generic (thesis Fig 8.4).
-      const double best = feasible ? 5 * kNs : 50 * kNs;
-      fam.set_leaf_delay("in", "out", best);
-      fam.bounding_box().set_user(Value(Rect{0, 0, 8, 8}));
-      for (int l = 0; l < leaves; ++l) {
-        auto& leaf = lib.define_cell(
-            "FAM" + std::to_string(f) + ".L" + std::to_string(l), &fam);
-        leaf.set_leaf_delay("in", "out", best + l * kNs);
-        leaf.bounding_box().set_user(Value(Rect{0, 0, 8, 8 + l}));
-      }
-    }
-    auto& top = lib.define_cell("TOP");
-    top.declare_signal("in", SignalDirection::kInput);
-    top.declare_signal("out", SignalDirection::kOutput);
-    auto& d = top.declare_delay("in", "out");
-    slot = &top.add_subcell(*root, "u");
-    auto& n1 = top.add_net("n1");
-    n1.connect_io("in");
-    n1.connect(*slot, "in");
-    auto& n2 = top.add_net("n2");
-    n2.connect(*slot, "out");
-    n2.connect_io("out");
-    top.build_delay_networks();
-    slot->bounding_box().set_user(Value(Rect{0, 0, 64, 64}));
-    BoundConstraint::upper(lib.context(), d, Value(10 * kNs));
-  }
-};
-
-}  // namespace
+using stemcp::selection_tree::Tree;
 
 static void BM_Pruned(benchmark::State& state) {
   Tree t(static_cast<int>(state.range(0)), static_cast<int>(state.range(1)));

@@ -43,12 +43,14 @@ AgendaScheduler::AgendaId AgendaScheduler::intern(std::string_view name) {
   return static_cast<AgendaId>(queues_.size() - 1);
 }
 
-void AgendaScheduler::bind_instrumentation(std::uint64_t* high_water,
+void AgendaScheduler::bind_instrumentation(std::uint64_t* runs,
+                                           std::uint64_t* high_water,
                                            std::uint64_t* scheduled_by_priority,
                                            std::uint64_t* executed_by_priority,
                                            std::size_t tracked_priorities,
                                            Tracer* tracer,
                                            MetricsRegistry* metrics) {
+  runs_ = runs;
   high_water_ = high_water;
   scheduled_ = scheduled_by_priority;
   executed_ = executed_by_priority;
@@ -143,6 +145,34 @@ std::optional<AgendaScheduler::Entry> AgendaScheduler::pop_highest_priority() {
     return e;
   }
   return std::nullopt;
+}
+
+Status AgendaScheduler::drain() {
+  while (auto entry = pop_highest_priority()) {
+    if (runs_ != nullptr) ++*runs_;
+    Propagatable& task = *entry->task;
+    const bool traced = tracer_ != nullptr && tracer_->enabled();
+    const bool timed = metrics_ != nullptr && metrics_->enabled();
+    const std::uint64_t t0 = traced || timed ? Tracer::now_ns() : 0;
+    const Status s = task.propagate_scheduled(entry->variable);
+    const std::uint64_t dt = traced || timed ? Tracer::now_ns() - t0 : 0;
+    if (traced) {
+      tracer_->emit(TraceEventType::kAgendaPop, task.describe(), &task, dt,
+                    static_cast<std::uint8_t>(
+                        std::min<std::size_t>(last_popped_priority_, 255)));
+    }
+    if (timed) {
+      if (task.run_hist_ == nullptr ||
+          task.run_hist_gen_ != metrics_->generation()) {
+        task.run_hist_ =
+            metrics_->histogram_handle("run_ns." + task.type_name());
+        task.run_hist_gen_ = metrics_->generation();
+      }
+      task.run_hist_->record(dt);
+    }
+    if (s.is_violation()) return s;
+  }
+  return Status::ok();
 }
 
 bool AgendaScheduler::empty() const {

@@ -1,9 +1,12 @@
 // Agenda scheduler (thesis §4.2.1): named first-in-first-out queues without
-// duplicate entries, drained in fixed priority order.  Functional constraints
-// schedule themselves on #functionalConstraints; hierarchical propagation
-// adds the #implicitConstraints agenda (§5.1.2), drained ahead of the
-// functional agenda here so all duals of a changed class variable settle
-// before dependent recomputation (see agenda.cpp for the deviation note).
+// duplicate entries, drained in fixed priority order.  drain() is the one
+// fixpoint loop: the value engine (PropagationContext::drain_agendas) and
+// the FD solver (fd::Problem::propagate) both run their tasks through it.
+// Functional constraints schedule themselves on #functionalConstraints;
+// hierarchical propagation adds the #implicitConstraints agenda (§5.1.2),
+// drained ahead of the functional agenda here so all duals of a changed
+// class variable settle before dependent recomputation (see agenda.cpp for
+// the deviation note).
 //
 // Hot-path design (docs/PERFORMANCE.md): agenda names are interned to small
 // integer ids once, duplicate suppression rides on per-task epoch stamps
@@ -18,6 +21,8 @@
 #include <string>
 #include <string_view>
 #include <vector>
+
+#include "core/status.h"
 
 namespace stemcp::core {
 
@@ -88,17 +93,24 @@ class AgendaScheduler {
   /// after a successful pop_highest_priority().
   std::size_t last_popped_priority() const { return last_popped_priority_; }
 
+  /// The fixpoint loop: pop the highest-priority entry, count it, run it
+  /// (propagate_scheduled) until every agenda is empty or a task answers a
+  /// violation, which is returned with the remaining entries left queued.
+  /// While the bound tracer or metrics observe, each run is timed, traced
+  /// as an agenda pop and recorded into "run_ns.<type>".
+  Status drain();
+
   bool empty() const;
   std::size_t size() const;
   void clear();
 
   // ---- instrumentation ----------------------------------------------------
-  /// Observability hookup (engine-owned).  `scheduled` / `executed` point at
-  /// per-priority counter arrays of `tracked_priorities` slots; overflowing
-  /// priorities accumulate in the last slot.  `high_water` tracks the max
-  /// total queue depth seen.  Any pointer may be null; tracer/metrics are
-  /// consulted only when enabled.
-  void bind_instrumentation(std::uint64_t* high_water,
+  /// Observability hookup (owner-bound).  `runs` counts every entry drain()
+  /// runs.  `scheduled` / `executed` point at per-priority counter arrays of
+  /// `tracked_priorities` slots; overflowing priorities accumulate in the
+  /// last slot.  `high_water` tracks the max total queue depth seen.  Any
+  /// pointer may be null; tracer/metrics are consulted only when enabled.
+  void bind_instrumentation(std::uint64_t* runs, std::uint64_t* high_water,
                             std::uint64_t* scheduled_by_priority,
                             std::uint64_t* executed_by_priority,
                             std::size_t tracked_priorities, Tracer* tracer,
@@ -128,6 +140,7 @@ class AgendaScheduler {
   std::uint64_t epoch_;
   std::uint64_t generation_;
 
+  std::uint64_t* runs_ = nullptr;
   std::uint64_t* high_water_ = nullptr;
   std::uint64_t* scheduled_ = nullptr;
   std::uint64_t* executed_ = nullptr;

@@ -77,8 +77,8 @@ Status CompiledNetwork::evaluate() {
     if (r == nullptr) continue;
     Value v = c->evaluate_function();
     if (v.is_nil()) continue;  // inputs incomplete
-    r->restore_state(std::move(v),
-                     Justification::propagated(*c, DependencyRecord::all()));
+    r->store(std::move(v),
+             Justification::propagated(*c, DependencyRecord::all()));
     ++ctx_->mutable_stats().assignments;
   }
   for (Propagatable* check : checks_) {

@@ -10,7 +10,8 @@ namespace stemcp::core {
 
 PropagationContext::PropagationContext() : epoch_(next_global_stamp()) {
   agenda_.bind_instrumentation(
-      &stats_.agenda_high_water, stats_.scheduled_by_priority.data(),
+      &stats_.scheduled_runs, &stats_.agenda_high_water,
+      stats_.scheduled_by_priority.data(),
       stats_.executed_by_priority.data(), Stats::kTrackedPriorities, &tracer_,
       &metrics_);
 }
@@ -163,7 +164,7 @@ void PropagationContext::restore_visited() {
     if (traced) {
       tracer_.emit(TraceEventType::kRestore, slot.var->path(), slot.var);
     }
-    slot.var->restore_state(slot.value, slot.justification);
+    slot.var->store(slot.value, slot.justification);
     ++stats_.restores;
   }
 }
@@ -203,39 +204,6 @@ void PropagationContext::set_violation_log_limit(std::size_t limit) {
     violation_log_.pop_front();
     ++violation_log_dropped_;
   }
-}
-
-Status PropagationContext::drain_agendas() {
-  while (auto entry = agenda_.pop_highest_priority()) {
-    ++stats_.scheduled_runs;
-    if (observing()) {
-      const std::size_t pri = agenda_.last_popped_priority();
-      const std::uint64_t t0 = Tracer::now_ns();
-      const Status s = entry->task->propagate_scheduled(entry->variable);
-      const std::uint64_t dt = Tracer::now_ns() - t0;
-      if (tracing()) {
-        tracer_.emit(TraceEventType::kAgendaPop, entry->task->describe(),
-                     entry->task, dt,
-                     static_cast<std::uint8_t>(std::min<std::size_t>(pri,
-                                                                     255)));
-      }
-      if (metrics_.enabled()) {
-        Propagatable& task = *entry->task;
-        if (task.run_hist_ == nullptr ||
-            task.run_hist_gen_ != metrics_.generation()) {
-          task.run_hist_ =
-              metrics_.histogram_handle("run_ns." + task.type_name());
-          task.run_hist_gen_ = metrics_.generation();
-        }
-        task.run_hist_->record(dt);
-      }
-      if (s.is_violation()) return s;
-    } else {
-      const Status s = entry->task->propagate_scheduled(entry->variable);
-      if (s.is_violation()) return s;
-    }
-  }
-  return Status::ok();
 }
 
 Status PropagationContext::check_visited_constraints() {

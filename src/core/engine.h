@@ -141,7 +141,8 @@ class PropagationContext {
   }
 
   // ---- drain / check helpers (exposed for network editing) ---------------
-  Status drain_agendas();
+  /// The scheduler's fixpoint loop (AgendaScheduler::drain).
+  Status drain_agendas() { return agenda_.drain(); }
   Status check_visited_constraints();
 
   // ---- statistics (used by the benchmark harness) -------------------------
@@ -152,7 +153,7 @@ class PropagationContext {
     std::uint64_t sessions = 0;
     std::uint64_t assignments = 0;   ///< successful value changes
     std::uint64_t activations = 0;   ///< propagateVariable: sends
-    std::uint64_t scheduled_runs = 0;///< agenda entries executed
+    std::uint64_t scheduled_runs = 0;///< agenda entries run (by the scheduler)
     std::uint64_t checks = 0;        ///< isSatisfied evaluations
     std::uint64_t violations = 0;
     std::uint64_t restores = 0;      ///< variables restored

@@ -271,21 +271,24 @@ void atomic_update_max(std::atomic<std::uint64_t>& a, std::uint64_t v) {
 }  // namespace
 
 void ConcurrentHistogram::record(std::uint64_t value) {
-  buckets_[Histogram::bucket_index(value)].fetch_add(
-      1, std::memory_order_relaxed);
-  count_.fetch_add(1, std::memory_order_relaxed);
-  sum_.fetch_add(value, std::memory_order_relaxed);
+  // The count is published last, with release, and snapshot() reads it
+  // first, with acquire: a snapshot that counts this record also sees its
+  // min and max, never the initial 2^64-1 beside 0.
   atomic_update_min(min_, value);
   atomic_update_max(max_, value);
+  buckets_[Histogram::bucket_index(value)].fetch_add(
+      1, std::memory_order_relaxed);
+  sum_.fetch_add(value, std::memory_order_relaxed);
+  count_.fetch_add(1, std::memory_order_release);
 }
 
 Histogram ConcurrentHistogram::snapshot() const {
+  const std::uint64_t count = count_.load(std::memory_order_acquire);
   std::array<std::uint64_t, Histogram::kBuckets> b;
   for (std::size_t i = 0; i < Histogram::kBuckets; ++i) {
     b[i] = buckets_[i].load(std::memory_order_relaxed);
   }
-  return Histogram::from_parts(b, count_.load(std::memory_order_relaxed),
-                               sum_.load(std::memory_order_relaxed),
+  return Histogram::from_parts(b, count, sum_.load(std::memory_order_relaxed),
                                min_.load(std::memory_order_relaxed),
                                max_.load(std::memory_order_relaxed));
 }

@@ -23,34 +23,25 @@ Variable::~Variable() {
 }
 
 Status Variable::set(Value v, Justification j) {
-  if (!ctx_.enabled()) {
-    // CPSwitch off: simple assignment, no propagation, no checking (§5.3).
-    value_ = std::move(v);
-    last_set_by_ = std::move(j);
-    return Status::ok();
-  }
+  if (!ctx_.enabled()) return store(std::move(v), std::move(j));
   if (ctx_.in_propagation()) {
     throw std::logic_error("external assignment during propagation: " +
                            path());
   }
   return ctx_.run_session(
-      [&]() -> Status { return assign_externally(std::move(v), std::move(j)); });
+      [&]() -> Status { return assign(std::move(v), std::move(j), nullptr); });
 }
 
 Status Variable::set_in_session(Value v, Justification j) {
-  if (!ctx_.enabled()) {
-    value_ = std::move(v);
-    last_set_by_ = std::move(j);
-    return Status::ok();
-  }
+  if (!ctx_.enabled()) return store(std::move(v), std::move(j));
   if (!ctx_.in_propagation()) {
     throw std::logic_error("set_in_session outside a propagation session: " +
                            path());
   }
-  return assign_externally(std::move(v), std::move(j));
+  return assign(std::move(v), std::move(j), nullptr);
 }
 
-Status Variable::assign_externally(Value v, Justification j) {
+Status Variable::assign(Value v, Justification j, Propagatable* source) {
   ctx_.record_visited(*this);
   ctx_.count_change(*this);
   const bool changed = value_ != v;
@@ -65,16 +56,12 @@ Status Variable::assign_externally(Value v, Justification j) {
     const Status hook = after_value_change(last_set_by_);
     if (hook.is_violation()) return hook;
   }
-  return propagate_to_constraints(nullptr);
+  return propagate_to_constraints(source);
 }
 
 Status Variable::set_from_constraint(Value v, Propagatable& source,
                                      Justification j) {
-  if (!ctx_.enabled()) {
-    value_ = std::move(v);
-    last_set_by_ = std::move(j);
-    return Status::ok();
-  }
+  if (!ctx_.enabled()) return store(std::move(v), std::move(j));
   // Termination criterion (§4.2.2): the current value agrees with the
   // propagated value — the wavefront stops here.
   if (value_ == v) return Status::no_change();
@@ -98,18 +85,7 @@ Status Variable::set_from_constraint(Value v, Propagatable& source,
              std::string(core::to_string(last_set_by_.source())) +
              " justification"});
   }
-  ctx_.record_visited(*this);
-  ctx_.count_change(*this);
-  value_ = std::move(v);
-  last_set_by_ = std::move(j);
-  ++ctx_.mutable_stats().assignments;
-  if (ctx_.tracing()) {
-    ctx_.tracer().emit(TraceEventType::kAssignment,
-                       path() + " = " + value_.to_string(), this);
-  }
-  const Status hook = after_value_change(last_set_by_);
-  if (hook.is_violation()) return hook;
-  return propagate_to_constraints(&source);
+  return assign(std::move(v), std::move(j), &source);
 }
 
 Status Variable::erase_for_update(Propagatable& source) {
@@ -194,12 +170,16 @@ Status Variable::add_constraint(Constraint& c) { return c.add_argument(*this); }
 
 void Variable::remove_constraint(Constraint& c) { c.remove_argument(*this); }
 
-Status Variable::propagate_along(Propagatable& c) {
+Status Variable::activate(Propagatable& c) {
   ++ctx_.mutable_stats().activations;
   if (ctx_.tracing()) {
     ctx_.tracer().emit(TraceEventType::kActivation, c.describe(), &c);
   }
-  Status s = c.propagate_variable(*this);
+  return c.propagate_variable(*this);
+}
+
+Status Variable::propagate_along(Propagatable& c) {
+  const Status s = activate(c);
   if (s.is_violation()) return s;
   return ctx_.drain_agendas();
 }
@@ -208,7 +188,6 @@ Status Variable::propagate_to_constraints(Propagatable* except) {
   // Snapshot: violation handlers or procedural hooks may edit the list.  The
   // snapshot lives in a context-owned scratch buffer pooled by recursion
   // depth, so steady-state fan-out copies nothing onto the heap.
-  const bool traced = ctx_.tracing();
   std::vector<Propagatable*>& explicit_list = ctx_.borrow_fanout_scratch();
   struct ScratchGuard {
     PropagationContext& ctx;
@@ -217,28 +196,21 @@ Status Variable::propagate_to_constraints(Propagatable* except) {
   explicit_list.assign(constraints_.begin(), constraints_.end());
   for (Propagatable* c : explicit_list) {
     if (c == except) continue;
-    ++ctx_.mutable_stats().activations;
-    if (traced) {
-      ctx_.tracer().emit(TraceEventType::kActivation, c->describe(), c);
-    }
-    const Status s = c->propagate_variable(*this);
+    const Status s = activate(*c);
     if (s.is_violation()) return s;
   }
   for (Propagatable* ic : implicit_constraints()) {
     if (ic == except) continue;
-    ++ctx_.mutable_stats().activations;
-    if (traced) {
-      ctx_.tracer().emit(TraceEventType::kActivation, ic->describe(), ic);
-    }
-    const Status s = ic->propagate_variable(*this);
+    const Status s = activate(*ic);
     if (s.is_violation()) return s;
   }
   return Status::ok();
 }
 
-void Variable::restore_state(Value v, Justification j) {
+Status Variable::store(Value v, Justification j) {
   value_ = std::move(v);
   last_set_by_ = std::move(j);
+  return Status::ok();
 }
 
 Status Variable::after_value_change(const Justification&) {

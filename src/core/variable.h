@@ -116,9 +116,10 @@ class Variable {
   friend class Constraint;
   friend class CompiledNetwork;
 
-  /// Raw state plumbing used by the engine for visited-state capture and
-  /// restore; bypasses all propagation.
-  void restore_state(Value v, Justification j);
+  /// Raw store of a value and its justification, bypassing all propagation:
+  /// the CPSwitch-off assignment (§5.3), the engine's restore, and compiled
+  /// evaluation.  Always ok.
+  Status store(Value v, Justification j);
 
   /// Hook invoked after a successful value change inside a propagation
   /// session, before fan-out (used e.g. by instance bounding boxes to reset
@@ -134,9 +135,13 @@ class Variable {
   Status propagate_to_constraints(Propagatable* except);
 
  private:
-  /// Shared body of set() and set_in_session(): record visited state,
-  /// assign, run the change hook, fan out.  Requires an open session.
-  Status assign_externally(Value v, Justification j);
+  /// The one assignment step of set(), set_in_session() and
+  /// set_from_constraint(): record visited state, count, store, trace, run
+  /// the change hook, fan out to every constraint but `source`.  Requires an
+  /// open session.
+  Status assign(Value v, Justification j, Propagatable* source);
+  /// One activation: count it, trace it, send propagateVariable: to `c`.
+  Status activate(Propagatable& c);
 
   void attach(Propagatable& c);
   void detach(Propagatable& c);

@@ -8,9 +8,8 @@ Propagator::Propagator(Problem& p, const char* agenda)
     : problem_(&p), agenda_(agenda) {}
 
 core::Status Propagator::propagate_scheduled(core::Variable*) {
-  ++problem_->stats_.filter_runs;
-  if (!problem_->failed()) filter();
-  return core::Status::ok();
+  filter();
+  return problem_->failed() ? core::Status::violation() : core::Status::ok();
 }
 
 // ---- Problem ----------------------------------------------------------------
@@ -18,6 +17,8 @@ core::Status Propagator::propagate_scheduled(core::Variable*) {
 Problem::Problem() {
   scheduler_.set_priority_order(
       {kFdUnaryAgenda, kFdBinaryAgenda, kFdLinearAgenda, kFdGlobalAgenda});
+  scheduler_.bind_instrumentation(&stats_.filter_runs, nullptr, nullptr,
+                                  nullptr, 0, nullptr, nullptr);
 }
 
 Problem::~Problem() = default;
@@ -84,13 +85,7 @@ bool Problem::bind_value(DomainVariable& v, double value) {
 }
 
 bool Problem::propagate() {
-  while (!failed_) {
-    auto entry = scheduler_.pop_highest_priority();
-    if (!entry.has_value()) return true;  // fixpoint
-    // Every entry queued here is one of our Propagators (the scheduler is
-    // private to this Problem).
-    entry->task->propagate_scheduled(nullptr);
-  }
+  if (!failed_ && scheduler_.drain().is_ok()) return true;
   scheduler_.clear();
   return false;
 }

@@ -2,14 +2,15 @@
 //
 // A Problem owns DomainVariables (each wrapping a fd::Domain) and
 // Propagators (domain-reduction functions in Apt's chaotic-iteration sense,
-// PAPERS.md).  Propagators subclass core::Propagatable so scheduling rides
-// the existing core::AgendaScheduler — same interned queues, same per-task
-// epoch duplicate suppression, same fixed priority drain — with FD cost
-// tiers (unary / binary / linear / global) as the agenda names.  Mutations
-// go through the Problem, which saves the pre-change domain on a trail
-// (first touch per decision level only, mirroring the engine's visited
-// trail), dispatches the event set to subscribed watchers, and latches a
-// failed() flag on wipeout so the drain loop stops early.
+// PAPERS.md).  Propagators subclass core::Propagatable so they run through
+// the engine's one fixpoint loop, core::AgendaScheduler::drain — same
+// interned queues, same per-task epoch duplicate suppression, same fixed
+// priority drain — with FD cost tiers (unary / binary / linear / global) as
+// the agenda names.  Mutations go through the Problem, which saves the
+// pre-change domain on a trail (first touch per decision level only,
+// mirroring the engine's visited trail), dispatches the event set to
+// subscribed watchers, and latches a failed() flag on wipeout; the
+// propagator then answers a violation, which stops the drain.
 //
 // Search is depth-first with MRV variable ordering (smallest remaining set
 // domain first) and ascending-index value ordering — universes are
@@ -73,7 +74,8 @@ class Propagator : public core::Propagatable {
   Propagator(Problem& p, const char* agenda);
 
   /// Shrink domains through the Problem mutators.  Wipeouts latch
-  /// Problem::failed(); filter() may return early once that happens.
+  /// Problem::failed(); filter() may return early once that happens, and
+  /// propagate_scheduled() then answers a violation.
   virtual void filter() = 0;
 
   Problem& problem() const { return *problem_; }
@@ -98,7 +100,7 @@ class Propagator : public core::Propagatable {
 class Problem {
  public:
   struct Stats {
-    std::uint64_t filter_runs = 0;  ///< propagator executions
+    std::uint64_t filter_runs = 0;  ///< propagator runs (by the drain)
     std::uint64_t prunings = 0;     ///< mutations that shrank a domain
     std::uint64_t wipeouts = 0;     ///< domains emptied
   };
@@ -149,8 +151,8 @@ class Problem {
   void clear_failed() { failed_ = false; }
 
   // ---- fixpoint -----------------------------------------------------------
-  /// Drain the agendas to a fixpoint; false on wipeout (remaining queue
-  /// entries are discarded).
+  /// Drain the agendas to a fixpoint (core::AgendaScheduler::drain); false
+  /// on wipeout (remaining queue entries are discarded).
   bool propagate();
   /// Schedule every propagator, then drain — establishes the initial
   /// arc-consistent state.
@@ -171,8 +173,6 @@ class Problem {
   void reset_stats() { stats_ = {}; }
 
  private:
-  friend class Propagator;
-
   void save(DomainVariable& v);
   /// Route a mutation outcome: account stats, dispatch events, latch
   /// failure.  Returns !wipeout.

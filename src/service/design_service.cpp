@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <iterator>
 #include <sstream>
 #include <utility>
 
@@ -40,61 +39,6 @@ const char* to_string(RequestType t) {
     case RequestType::kSelectStats: return "select-stats";
   }
   return "unknown";
-}
-
-// ---------------------------------------------------------------------------
-// SessionManager
-
-std::shared_ptr<DesignSession> SessionManager::open(const std::string& name,
-                                                    bool collect_metrics,
-                                                    bool collect_trace) {
-  const std::lock_guard<std::mutex> lock(mu_);
-  if (sessions_.count(name) != 0) return nullptr;
-  auto s = std::make_shared<DesignSession>(name, collect_metrics,
-                                           collect_trace);
-  sessions_.emplace(name, s);
-  return s;
-}
-
-bool SessionManager::insert(std::shared_ptr<DesignSession> s) {
-  const std::string name = s->name();
-  const std::lock_guard<std::mutex> lock(mu_);
-  return sessions_.emplace(name, std::move(s)).second;
-}
-
-std::shared_ptr<DesignSession> SessionManager::find(
-    const std::string& name) const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  const auto it = sessions_.find(name);
-  return it == sessions_.end() ? nullptr : it->second;
-}
-
-bool SessionManager::close(const std::string& name) {
-  std::shared_ptr<DesignSession> victim;
-  {
-    const std::lock_guard<std::mutex> lock(mu_);
-    const auto it = sessions_.find(name);
-    if (it == sessions_.end()) return false;
-    victim = std::move(it->second);
-    sessions_.erase(it);
-  }
-  // `victim` dies here unless a request is still in flight; either way the
-  // session destructor (→ context destructor) folds its stats into the
-  // process-global metrics off the registry lock.
-  return true;
-}
-
-std::vector<std::string> SessionManager::names() const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  std::vector<std::string> out;
-  out.reserve(sessions_.size());
-  for (const auto& [name, s] : sessions_) out.push_back(name);
-  return out;
-}
-
-std::size_t SessionManager::size() const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  return sessions_.size();
 }
 
 // ---------------------------------------------------------------------------
@@ -639,7 +583,7 @@ bool open_options_from(const std::string& text, bool* metrics, bool* trace,
 /// left off.  The session is built and replayed BEFORE it is published into
 /// the shard registry, so concurrent requests either miss it entirely or
 /// see the fully recovered state — never a half-replayed library.
-Response do_recover(SessionManager& sessions, const Request& r,
+Response do_recover(ShardedSessionManager& sessions, const Request& r,
                     const ShardIo& io) {
   Response resp;
   resp.session = r.session;
@@ -864,27 +808,53 @@ std::string ShardedSessionManager::resolve_base(std::size_t shard,
 
 std::shared_ptr<DesignSession> ShardedSessionManager::open(
     const std::string& name, bool collect_metrics, bool collect_trace) {
-  return registry(shard_of(name)).open(name, collect_metrics, collect_trace);
+  Shard& sh = shard_for(name);
+  const std::lock_guard<std::mutex> lock(sh.registry_mu);
+  if (sh.sessions.count(name) != 0) return nullptr;
+  auto s = std::make_shared<DesignSession>(name, collect_metrics,
+                                           collect_trace);
+  sh.sessions.emplace(name, s);
+  return s;
+}
+
+bool ShardedSessionManager::insert(std::shared_ptr<DesignSession> s) {
+  Shard& sh = shard_for(s->name());
+  const std::lock_guard<std::mutex> lock(sh.registry_mu);
+  // try_emplace leaves a refused `s` untouched: it dies after the unlock.
+  return sh.sessions.try_emplace(s->name(), std::move(s)).second;
 }
 
 std::shared_ptr<DesignSession> ShardedSessionManager::find(
     const std::string& name) const {
-  return registry(shard_of(name)).find(name);
+  const Shard& sh = shard_for(name);
+  const std::lock_guard<std::mutex> lock(sh.registry_mu);
+  const auto it = sh.sessions.find(name);
+  return it == sh.sessions.end() ? nullptr : it->second;
 }
 
 bool ShardedSessionManager::close(const std::string& name) {
-  return registry(shard_of(name)).close(name);
+  Shard& sh = shard_for(name);
+  std::shared_ptr<DesignSession> victim;
+  {
+    const std::lock_guard<std::mutex> lock(sh.registry_mu);
+    const auto it = sh.sessions.find(name);
+    if (it == sh.sessions.end()) return false;
+    victim = std::move(it->second);
+    sh.sessions.erase(it);
+  }
+  // `victim` dies here unless a request is still in flight; either way the
+  // session destructor (→ context destructor) folds its stats into the
+  // process-global metrics off the registry mutex.
+  return true;
 }
 
 std::vector<std::string> ShardedSessionManager::names() const {
-  // Lazy fold: one shard registry lock at a time, never a global lock.  The
-  // result is a consistent snapshot per shard, merged and sorted — the same
-  // contract a single sorted registry gave callers.
+  // Lazy fold: one shard registry mutex at a time, never a global lock.
+  // The result is a consistent snapshot per shard, merged and sorted.
   std::vector<std::string> out;
   for (const auto& sh : shards_) {
-    std::vector<std::string> part = sh->sessions.names();
-    out.insert(out.end(), std::make_move_iterator(part.begin()),
-               std::make_move_iterator(part.end()));
+    const std::lock_guard<std::mutex> lock(sh->registry_mu);
+    for (const auto& entry : sh->sessions) out.push_back(entry.first);
   }
   std::sort(out.begin(), out.end());
   return out;
@@ -892,30 +862,22 @@ std::vector<std::string> ShardedSessionManager::names() const {
 
 std::size_t ShardedSessionManager::size() const {
   std::size_t n = 0;
-  for (const auto& sh : shards_) n += sh->sessions.size();
+  for (const auto& sh : shards_) {
+    const std::lock_guard<std::mutex> lock(sh->registry_mu);
+    n += sh->sessions.size();
+  }
   return n;
 }
 
 bool ShardedSessionManager::enqueue(Job&& job) {
-  Shard& sh = *shards_[shard_of(job.request.session)];
+  Shard& sh = shard_for(job.request.session);
   {
     const std::lock_guard<std::mutex> lock(sh.mu);
     if (sh.stopping) return false;  // job untouched; caller resolves it
     sh.queue.push_back(std::move(job));
   }
-  sh.enqueued.fetch_add(1, std::memory_order_relaxed);
   sh.cv.notify_one();
   return true;
-}
-
-ShardedSessionManager::ShardStats ShardedSessionManager::stats(
-    std::size_t shard) const {
-  const Shard& sh = *shards_[shard];
-  ShardStats out;
-  out.enqueued = sh.enqueued.load(std::memory_order_relaxed);
-  out.dequeued = sh.dequeued.load(std::memory_order_relaxed);
-  out.served = sh.served.load(std::memory_order_relaxed);
-  return out;
 }
 
 void ShardedSessionManager::worker_loop(std::size_t shard, std::size_t worker) {
@@ -931,7 +893,6 @@ void ShardedSessionManager::worker_loop(std::size_t shard, std::size_t worker) {
     }
     sh.dequeued.fetch_add(1, std::memory_order_relaxed);
     handler_(shard, worker, job);
-    sh.served.fetch_add(1, std::memory_order_relaxed);
   }
 }
 
@@ -1038,8 +999,7 @@ Response DesignService::execute(const Request& r, RequestSpan* span,
     return resp;
   }
 
-  const std::shared_ptr<DesignSession> s =
-      sessions_->registry(shard).find(r.session);
+  const std::shared_ptr<DesignSession> s = sessions_->find(r.session);
   if (s == nullptr) {
     resp.error = "unknown session '" + r.session + "'";
     return resp;
@@ -1084,7 +1044,6 @@ Response DesignService::execute(const Request& r, RequestSpan* span,
 
 Response DesignService::execute_lifecycle(const Request& r,
                                           std::size_t shard) {
-  SessionManager& registry = sessions_->registry(shard);
   Response resp;
   resp.session = r.session;
 
@@ -1094,7 +1053,7 @@ Response DesignService::execute_lifecycle(const Request& r,
     if (!open_options_from(r.text, &metrics, &trace, &resp.error)) {
       return resp;
     }
-    if (registry.open(r.session, metrics, trace) == nullptr) {
+    if (sessions_->open(r.session, metrics, trace) == nullptr) {
       resp.error = "session '" + r.session + "' already exists";
       return resp;
     }
@@ -1104,11 +1063,11 @@ Response DesignService::execute_lifecycle(const Request& r,
   }
 
   if (r.type == RequestType::kRecover) {
-    return do_recover(registry, r, ShardIo{sessions_.get(), shard});
+    return do_recover(*sessions_, r, ShardIo{sessions_.get(), shard});
   }
 
   if (r.type == RequestType::kClose) {
-    const std::shared_ptr<DesignSession> victim = registry.find(r.session);
+    const std::shared_ptr<DesignSession> victim = sessions_->find(r.session);
     if (victim == nullptr) {
       resp.error = "unknown session '" + r.session + "'";
       return resp;
@@ -1124,7 +1083,7 @@ Response DesignService::execute_lifecycle(const Request& r,
         victim->detach_journal();
       }
     }
-    if (!registry.close(r.session)) {
+    if (!sessions_->close(r.session)) {
       resp.error = "unknown session '" + r.session + "'";
       return resp;
     }

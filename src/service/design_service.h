@@ -4,15 +4,15 @@
 // clean session/service solver boundary).
 //
 // Architecture:
-//   * SessionManager — owns many independent DesignSessions, each a Library
-//     (+ engine context, tracer, metrics) behind a per-session mutex.
-//   * ShardedSessionManager — N shards, each owning its own SessionManager,
-//     its own worker pool draining a per-shard FIFO queue, and its own
-//     journal directory namespace.  Sessions route to shards by a
-//     deterministic hash of the session id, so no request — mutating or
-//     lifecycle — ever takes a lock shared between shards.  Global views
-//     (session listing, counts) fold per-shard state lazily on read, one
-//     shard lock at a time.
+//   * ShardedSessionManager — the session registry, in N shards.  Each
+//     shard keeps its own name → DesignSession map (each session a Library
+//     + engine context, tracer, metrics behind a per-session mutex) under
+//     its own registry mutex, its own worker pool draining a per-shard FIFO
+//     queue, and its own journal directory namespace.  Sessions route to
+//     shards by a deterministic hash of the session id, so no request —
+//     mutating or lifecycle — ever takes a lock shared between shards.
+//     Global views (session listing, counts) fold per-shard state lazily on
+//     read, one shard lock at a time.
 //   * DesignService — the request API over the sharded tier: submit() hashes
 //     the session id, stamps the span, and enqueues on the owning shard.
 //   * Typed request API — open / load / save / assign / batch-assign /
@@ -97,39 +97,11 @@ struct Response {
   std::string session;
 };
 
-/// Thread-safe registry of named sessions (one per shard).
-class SessionManager {
- public:
-  /// Create a session; nullptr when the name is already taken.
-  std::shared_ptr<DesignSession> open(const std::string& name,
-                                      bool collect_metrics = false,
-                                      bool collect_trace = false);
-  /// Publish an externally built session (recovery constructs and replays
-  /// the session BEFORE it becomes visible, so no request can observe a
-  /// half-recovered library).  False when the name is already taken.
-  bool insert(std::shared_ptr<DesignSession> s);
-  std::shared_ptr<DesignSession> find(const std::string& name) const;
-  /// Remove a session from the registry.  The victim is moved out under the
-  /// lock but destroyed AFTER it is released — destruction folds the
-  /// session's stats into the process-global metrics, and that fold must
-  /// never run under the registry lock (workers may still hold the session
-  /// shared_ptr; see the close-vs-request hammer in
-  /// tests/service/shard_stress_test.cpp).
-  bool close(const std::string& name);
-
-  std::vector<std::string> names() const;
-  std::size_t size() const;
-
- private:
-  mutable std::mutex mu_;
-  std::map<std::string, std::shared_ptr<DesignSession>> sessions_;
-};
-
 /// The sharded session tier.  Each shard owns a registry, a FIFO queue, and
-/// a worker pool; jobs route by shard_of(session).  The request path touches
-/// only the owning shard's queue mutex and session locks — there is no
-/// global lock to contend on (asserted by ShardStressTest.
-/// BlockedShardDoesNotStallOthers).
+/// a worker pool; sessions and jobs route by shard_of(session).  The request
+/// path touches only the owning shard's registry and queue mutexes and
+/// session locks — there is no global lock to contend on (asserted by
+/// ShardStressTest.BlockedShardDoesNotStallOthers).
 class ShardedSessionManager {
  public:
   /// One queued request: the typed request, its telemetry span, and the
@@ -143,14 +115,6 @@ class ShardedSessionManager {
   /// dequeued job: (shard, worker-within-shard, job).  The handler executes
   /// the request, records telemetry, and resolves job.done.
   using JobHandler = std::function<void(std::size_t, std::size_t, Job&)>;
-
-  /// Per-shard queue/worker counters (all monotone; read with relaxed
-  /// atomics, so cross-shard sums are approximate while workers run).
-  struct ShardStats {
-    std::uint64_t enqueued = 0;
-    std::uint64_t dequeued = 0;
-    std::uint64_t served = 0;
-  };
 
   /// Spins up `shards` × `workers_per_shard` workers.  A non-empty
   /// `journal_root` namespaces durable state per shard: journal/recover base
@@ -179,20 +143,25 @@ class ShardedSessionManager {
   /// journal root, `base` unchanged without one.
   std::string resolve_base(std::size_t shard, const std::string& base) const;
 
-  /// The owning shard's registry (direct, for shard-local work).
-  SessionManager& registry(std::size_t shard) { return shards_[shard]->sessions; }
-  const SessionManager& registry(std::size_t shard) const {
-    return shards_[shard]->sessions;
-  }
+  // ---- registry ---------------------------------------------------------
+  // open/insert/find/close take only the owning shard's registry mutex;
+  // names/size fold across shards lazily, one shard's mutex at a time.
 
-  // ---- SessionManager-compatible views --------------------------------
-  // open/find/close route straight to the owning shard (one shard lock);
-  // names/size fold across shards lazily, one shard lock at a time.
-
+  /// Create a session; nullptr when the name is already taken.
   std::shared_ptr<DesignSession> open(const std::string& name,
                                       bool collect_metrics = false,
                                       bool collect_trace = false);
+  /// Publish an externally built session (recovery constructs and replays
+  /// the session BEFORE it becomes visible, so no request can observe a
+  /// half-recovered library).  False when the name is already taken.
+  bool insert(std::shared_ptr<DesignSession> s);
   std::shared_ptr<DesignSession> find(const std::string& name) const;
+  /// Remove a session from its shard.  The victim is moved out under the
+  /// registry mutex but destroyed AFTER it is released — destruction folds
+  /// the session's stats into the process-global metrics, and that fold
+  /// must never run under the registry mutex (workers may still hold the
+  /// session shared_ptr; see the close-vs-request hammer in
+  /// tests/service/shard_stress_test.cpp).
   bool close(const std::string& name);
   std::vector<std::string> names() const;  ///< sorted across shards
   std::size_t size() const;
@@ -200,21 +169,28 @@ class ShardedSessionManager {
   /// Enqueue on the owning shard.  False when the tier is stopping — the
   /// job is left untouched so the caller can resolve its promise.
   bool enqueue(Job&& job);
-  ShardStats stats(std::size_t shard) const;
+  /// Jobs the shard's workers have taken off its queue (monotone, relaxed).
+  std::uint64_t dequeued(std::size_t shard) const {
+    return shards_[shard]->dequeued.load(std::memory_order_relaxed);
+  }
 
  private:
   struct Shard {
-    SessionManager sessions;
+    /// Registry mutex: guards `sessions` only, never held together with
+    /// the queue mutex `mu` or any session's lock.
+    mutable std::mutex registry_mu;
+    std::map<std::string, std::shared_ptr<DesignSession>> sessions;
     std::mutex mu;
     std::condition_variable cv;
     std::deque<Job> queue;
     bool stopping = false;
-    std::atomic<std::uint64_t> enqueued{0};
     std::atomic<std::uint64_t> dequeued{0};
-    std::atomic<std::uint64_t> served{0};
     std::vector<std::thread> workers;
   };
 
+  Shard& shard_for(std::string_view session) const {
+    return *shards_[shard_of(session)];
+  }
   void worker_loop(std::size_t shard, std::size_t worker);
 
   std::size_t workers_per_shard_;

@@ -79,6 +79,9 @@ TEST(FdServiceTest, SelectEndToEnd) {
   EXPECT_NE(stats.text.find("solutions: 1"), std::string::npos) << stats.text;
   EXPECT_NE(stats.text.find("candidates explored: 2"), std::string::npos)
       << stats.text;
+  EXPECT_NE(stats.text.find("filter runs: 0, prunings: 0, wipeouts: 0\n"),
+            std::string::npos)
+      << stats.text;
   EXPECT_EQ(stats.assignments_applied, 0u);
   Response q = svc.call(make(RequestType::kQuery, "s", "ALU.delay(a->out)"));
   ASSERT_TRUE(q.ok);

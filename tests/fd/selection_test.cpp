@@ -290,6 +290,8 @@ TEST(FdSelectionTest, CrossSlotBudgetForcesJointChoice) {
   EXPECT_EQ(space.solutions()[0][1], fast2);
   EXPECT_GT(space.stats().fails, 0u)
       << "the cost heuristic tries the small slow parts first";
+  // Pinned: the cross-slot filter's runs over establish and search.
+  EXPECT_EQ(space.problem().stats().filter_runs, 4u);
 }
 
 TEST(FdSelectionTest, SearchLeavesTheDesignUntouched) {

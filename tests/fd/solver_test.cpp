@@ -191,6 +191,27 @@ TEST(FdSolverTest, MaxNodesAbandonsTheSearch) {
   EXPECT_LE(search.stats().nodes, 5u);
 }
 
+// The drain counts one filter run per popped propagator, up to and
+// including the one whose filter wipes a domain out.  Pinned on a 4-queens
+// network that propagation alone solves and on a 3-queens one it refutes.
+TEST(FdSolverTest, FilterRunsArePinned) {
+  Problem four;
+  build_queens(four, 4);
+  ASSERT_TRUE(four.bind(*four.variables()[0], 1));
+  ASSERT_TRUE(four.propagate_all());
+  for (const auto& v : four.variables()) EXPECT_TRUE(v->fixed()) << v->name();
+  EXPECT_EQ(four.stats().filter_runs, 33u);
+  EXPECT_EQ(four.stats().prunings, 10u);
+
+  // 3-queens with the middle column taken: row 1 has nowhere to go.
+  Problem three;
+  build_queens(three, 3);
+  ASSERT_TRUE(three.bind(*three.variables()[0], 1));
+  EXPECT_FALSE(three.propagate_all());
+  EXPECT_EQ(three.stats().filter_runs, 3u);
+  EXPECT_EQ(three.stats().wipeouts, 1u);
+}
+
 /// Graph coloring: K4 minus one edge is 3-colorable; K4 is not.
 TEST(FdSolverTest, GraphColoring) {
   auto color = [](bool complete) {

@@ -5,13 +5,18 @@
 // isolation property that a torn or corrupt journal in one shard never
 // blocks recovery in another.  Extends the single-session crash soak in
 // persistence_test.cpp to the per-shard <root>/shard-<i>/ layout.
+#include <fcntl.h>
 #include <gtest/gtest.h>
+#include <sys/stat.h>
+#include <unistd.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <fstream>
 #include <future>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "persist/checkpoint.h"
@@ -274,6 +279,53 @@ TEST(ShardRecoveryTest, TornShardRecoversWhileOtherShardIsCorrupt) {
   // free, and the shard keeps serving.
   EXPECT_EQ(rec.sessions().find(logs[1].name), nullptr);
   EXPECT_TRUE(rec.call(make(RequestType::kOpen, logs[1].name)).ok);
+}
+
+// A recover publishes its session only after the replay, so an `open` of the
+// same name that lands meanwhile wins: the recover answers "already exists"
+// and the opened session is untouched.  Two workers on one shard; the
+// recover is held in its checkpoint's open on a FIFO while the other worker
+// serves the open, then released with a valid checkpoint of another design.
+TEST(ShardRecoveryTest, OpenDuringRecoverWinsTheName) {
+  const std::string dir = tmp_root("open_wins");
+  std::string error;
+  ASSERT_TRUE(persist::ensure_directories(dir, &error)) << error;
+  const std::string base = dir + "/held";
+  const std::string fifo = persist::checkpoint_path(base);
+  ::unlink(fifo.c_str());
+  ::unlink(persist::journal_path(base).c_str());
+  ASSERT_EQ(::mkfifo(fifo.c_str(), 0600), 0);
+
+  DesignService svc(DesignService::Config{2, 1, {}});
+  std::future<Response> recovering =
+      svc.submit(make(RequestType::kRecover, "held", base));
+  // A non-blocking writer open succeeds only once a reader has the FIFO
+  // open: then the recover is past its own name check and held.
+  int fd = -1;
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while ((fd = ::open(fifo.c_str(), O_WRONLY | O_NONBLOCK)) < 0 &&
+         std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_GE(fd, 0) << "the recover never opened its checkpoint";
+
+  ASSERT_TRUE(svc.call(make(RequestType::kOpen, "held")).ok);
+  ASSERT_TRUE(svc.call(make(RequestType::kLoad, "held", kPipeline)).ok);
+  const std::string opened = save_image(svc, "held");
+
+  persist::CheckpointMeta meta;
+  meta.session = "held";
+  const std::string ckpt = persist::encode_checkpoint_header(meta) +
+                           "cell OTHER\n  signal in input\nend\n";
+  EXPECT_EQ(::write(fd, ckpt.data(), ckpt.size()),
+            static_cast<ssize_t>(ckpt.size()));
+  ::close(fd);
+  const Response r = recovering.get();
+  EXPECT_FALSE(r.ok);
+  EXPECT_NE(r.error.find("already exists"), std::string::npos) << r.error;
+  EXPECT_EQ(save_image(svc, "held"), opened);
+  EXPECT_EQ(svc.sessions().size(), 1u);
 }
 
 }  // namespace

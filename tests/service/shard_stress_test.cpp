@@ -289,7 +289,7 @@ TEST(ShardStressTest, BlockedShardDoesNotStallOthers) {
   ASSERT_NE(sa, nullptr);
   std::unique_lock<std::mutex> wedge(sa->mutex());
 
-  const std::uint64_t dequeued0 = svc.sessions().stats(0).dequeued;
+  const std::uint64_t dequeued0 = svc.sessions().dequeued(0);
   std::vector<std::future<Response>> stuck;
   for (std::size_t i = 0; i < kWorkersPerShard; ++i) {
     Request r = make(RequestType::kAssign, a);
@@ -299,7 +299,7 @@ TEST(ShardStressTest, BlockedShardDoesNotStallOthers) {
   }
   // Both shard-0 workers have dequeued and are now blocked on the wedge
   // (atomic counter poll, no sleeps).
-  while (svc.sessions().stats(0).dequeued < dequeued0 + kWorkersPerShard) {
+  while (svc.sessions().dequeued(0) < dequeued0 + kWorkersPerShard) {
     std::this_thread::yield();
   }
 
