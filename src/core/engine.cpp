@@ -1,6 +1,7 @@
 #include "core/engine.h"
 
 #include <algorithm>
+#include <iterator>
 #include <stdexcept>
 
 #include "core/constraint.h"
@@ -48,6 +49,15 @@ std::vector<Constraint*> PropagationContext::all_constraints() const {
 }
 
 void PropagationContext::destroy_constraint(Constraint& c) {
+  // Refuse a constraint of another context before touching it.  Teardown
+  // and rollback destroy newest-first, so search from the back.  Nothing
+  // below adds or removes constraints, so `owned` stays valid.
+  const auto owned = std::find_if(
+      constraints_.rbegin(), constraints_.rend(),
+      [&](const std::unique_ptr<Constraint>& p) { return p.get() == &c; });
+  if (owned == constraints_.rend()) {
+    throw std::logic_error("destroy_constraint: not owned by this context");
+  }
   if (tracing()) {
     tracer_.emit(TraceEventType::kNetworkEdit, "destroy " + c.describe(), &c);
   }
@@ -67,13 +77,7 @@ void PropagationContext::destroy_constraint(Constraint& c) {
   for (const Variable* v : trace.variables) {
     const_cast<Variable*>(v)->reset_raw();
   }
-  auto it = std::find_if(
-      constraints_.begin(), constraints_.end(),
-      [&](const std::unique_ptr<Constraint>& p) { return p.get() == &c; });
-  if (it == constraints_.end()) {
-    throw std::logic_error("destroy_constraint: not owned by this context");
-  }
-  constraints_.erase(it);
+  constraints_.erase(std::next(owned).base());
 }
 
 Status PropagationContext::run_session_impl(Status (*invoke)(void*),

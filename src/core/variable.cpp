@@ -151,7 +151,9 @@ void Variable::antecedents(DependencyTrace& out) const {
 void Variable::consequences(DependencyTrace& out) const {
   if (!out.variables.insert(this).second) return;
   for (Propagatable* c : constraints_) c->consequences_of(*this, out);
-  for (Propagatable* ic : implicit_constraints()) ic->consequences_of(*this, out);
+  std::vector<Propagatable*> implicit;
+  append_implicit_constraints(implicit);
+  for (Propagatable* ic : implicit) ic->consequences_of(*this, out);
 }
 
 DependencyTrace Variable::antecedents() const {
@@ -185,21 +187,24 @@ Status Variable::propagate_along(Propagatable& c) {
 }
 
 Status Variable::propagate_to_constraints(Propagatable* except) {
-  // Snapshot: violation handlers or procedural hooks may edit the list.  The
-  // snapshot lives in a context-owned scratch buffer pooled by recursion
-  // depth, so steady-state fan-out copies nothing onto the heap.
-  std::vector<Propagatable*>& explicit_list = ctx_.borrow_fanout_scratch();
+  // Snapshot: violation handlers or procedural hooks may edit the lists.
+  // Each snapshot lives in a context-owned scratch buffer pooled by recursion
+  // depth, so steady-state fan-out copies nothing onto the heap.  The
+  // implicit list is taken only after the explicit activations have run.
+  std::vector<Propagatable*>& snapshot = ctx_.borrow_fanout_scratch();
   struct ScratchGuard {
     PropagationContext& ctx;
     ~ScratchGuard() { ctx.release_fanout_scratch(); }
   } guard{ctx_};
-  explicit_list.assign(constraints_.begin(), constraints_.end());
-  for (Propagatable* c : explicit_list) {
+  snapshot.assign(constraints_.begin(), constraints_.end());
+  for (Propagatable* c : snapshot) {
     if (c == except) continue;
     const Status s = activate(*c);
     if (s.is_violation()) return s;
   }
-  for (Propagatable* ic : implicit_constraints()) {
+  snapshot.clear();
+  append_implicit_constraints(snapshot);
+  for (Propagatable* ic : snapshot) {
     if (ic == except) continue;
     const Status s = activate(*ic);
     if (s.is_violation()) return s;

@@ -86,12 +86,13 @@ class Variable {
   virtual bool can_change_value_to(const Value& v,
                                    const Justification& incoming) const;
 
-  /// Implicit constraints attached to this variable (thesis §5.1.1) — the
-  /// dual variables in the other half of the class/instance declaration.
-  /// They receive propagateVariable: exactly like explicit constraints.
-  virtual std::vector<Propagatable*> implicit_constraints() const {
-    return {};
-  }
+  /// Append the implicit constraints attached to this variable (thesis
+  /// §5.1.1) — the dual variables in the other half of the class/instance
+  /// declaration — to `out`.  They receive propagateVariable: exactly like
+  /// explicit constraints.  Appending into the caller's buffer lets fan-out
+  /// reuse pooled scratch instead of allocating per dual it crosses.
+  virtual void append_implicit_constraints(
+      std::vector<Propagatable*>& /*out*/) const {}
 
   /// Dependency analysis (thesis Fig 4.11/4.12).
   void antecedents(DependencyTrace& out) const;

@@ -306,13 +306,14 @@ void do_query(DesignSession& s, const Request& r, Response& resp) {
   } else if (what == "vars") {
     std::string cell;
     in >> cell;
-    const std::string prefix = cell.empty() ? "" : cell + ".";
-    s.for_each_variable([&](core::Variable& v) {
-      if (!prefix.empty() && v.path().compare(0, prefix.size(), prefix) != 0) {
-        return;
-      }
+    const auto print = [&out](core::Variable& v) {
       out << env::ConstraintInspector::describe(v) << '\n';
-    });
+    };
+    if (cell.empty()) {
+      s.for_each_variable(print);
+    } else if (env::CellClass* c = s.library().find(cell)) {
+      DesignSession::for_each_class_variable(*c, print);
+    }
   } else if (what == "stats") {
     core::PropagationContext& ctx = s.library().context();
     out << env::DesignReport::propagation_stats(ctx);

@@ -63,12 +63,19 @@ class DesignSession {
   }
 
   /// Look up a variable of the design database by its identification path
-  /// ("ADDER.delay(a->out)", "ACC.reg.param(width)", ...).  Nullptr when
-  /// unknown.  Caller must hold mutex().
+  /// ("ADDER.delay(a->out)", "ACC/reg.param(width)", ...), walking the path
+  /// through the objects that own the variable (docs/SERVICE.md "Variable
+  /// paths").  Nullptr when unknown.  Creates and assigns nothing, and
+  /// allocates nothing.  Caller must hold mutex().
   core::Variable* find_variable(const std::string& path);
 
   /// Visit every addressable variable (class- and instance-side).
   void for_each_variable(const std::function<void(core::Variable&)>& fn);
+  /// Visit the class-level variables of `cell`, in for_each_variable's
+  /// order: its bounding box, its own signals' typing variables, its own
+  /// parameters and its own delays.
+  static void for_each_class_variable(
+      env::CellClass& cell, const std::function<void(core::Variable&)>& fn);
 
   // -- durability (callers hold mutex(); see docs/PERSISTENCE.md) ----------
 

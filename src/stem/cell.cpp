@@ -144,6 +144,12 @@ InstanceBitWidthVar& CellInstance::bit_width(const std::string& signal) {
   return ref;
 }
 
+InstanceBitWidthVar* CellInstance::find_bit_width(
+    std::string_view signal) const {
+  auto it = bit_widths_.find(signal);
+  return it == bit_widths_.end() ? nullptr : it->second.get();
+}
+
 std::vector<InstanceBitWidthVar*> CellInstance::bit_width_variables() const {
   std::vector<InstanceBitWidthVar*> out;
   out.reserve(bit_widths_.size());
@@ -175,11 +181,14 @@ InstanceParamVar& CellInstance::parameter(const std::string& name) {
   return ref;
 }
 
+InstanceParamVar* CellInstance::find_parameter(std::string_view name) const {
+  auto it = params_.find(name);
+  return it == params_.end() ? nullptr : it->second.get();
+}
+
 InstanceDelayVar& CellInstance::delay(const std::string& from,
                                       const std::string& to) {
-  const auto key = std::make_pair(from, to);
-  auto it = delays_.find(key);
-  if (it != delays_.end()) return *it->second;
+  if (InstanceDelayVar* existing = find_delay(from, to)) return *existing;
   ClassDelayVar* cd = cls_->find_delay(from, to);
   if (cd == nullptr) {
     throw std::out_of_range("no declared delay " + from + "->" + to + " on " +
@@ -188,7 +197,7 @@ InstanceDelayVar& CellInstance::delay(const std::string& from,
   auto var = std::make_unique<InstanceDelayVar>(cls_->context(), *this, *cd,
                                                 qualified_name());
   InstanceDelayVar& ref = *var;
-  delays_.emplace(key, std::move(var));
+  delays_.emplace(std::make_pair(from, to), std::move(var));
   if (cd->value().is_number()) {
     ref.set(Value(cd->value().as_number() + ref.rc_adjustment()),
             implicit_just(*cd));
@@ -196,9 +205,9 @@ InstanceDelayVar& CellInstance::delay(const std::string& from,
   return ref;
 }
 
-InstanceDelayVar* CellInstance::find_delay(const std::string& from,
-                                           const std::string& to) const {
-  auto it = delays_.find(std::make_pair(from, to));
+InstanceDelayVar* CellInstance::find_delay(std::string_view from,
+                                           std::string_view to) const {
+  auto it = delays_.find(DelayKeyLess::View{from, to});
   return it == delays_.end() ? nullptr : it->second.get();
 }
 
@@ -312,7 +321,7 @@ IoSignal& CellClass::declare_signal(const std::string& name,
   return *signals_.back();
 }
 
-IoSignal* CellClass::find_signal(const std::string& name) const {
+IoSignal* CellClass::find_signal(std::string_view name) const {
   for (const auto& s : signals_) {
     if (s->name() == name) return s.get();
   }
@@ -361,7 +370,7 @@ ClassParamVar& CellClass::declare_parameter(const std::string& name, double lo,
   return ref;
 }
 
-ClassParamVar* CellClass::find_parameter(const std::string& name) const {
+ClassParamVar* CellClass::find_parameter(std::string_view name) const {
   auto it = params_.find(name);
   if (it != params_.end()) return it->second.get();
   if (superclass_ != nullptr) return superclass_->find_parameter(name);
@@ -423,7 +432,7 @@ CellInstance& CellClass::replace_subcell(CellInstance& inst,
   return fresh;
 }
 
-CellInstance* CellClass::find_subcell(const std::string& name) const {
+CellInstance* CellClass::find_subcell(std::string_view name) const {
   for (const auto& s : subcells_) {
     if (s->name() == name) return s.get();
   }
@@ -499,8 +508,7 @@ Rect CellClass::calculate_bounding_box() const {
 
 ClassDelayVar& CellClass::declare_delay(const std::string& from,
                                         const std::string& to) {
-  const auto key = std::make_pair(from, to);
-  auto it = delays_.find(key);
+  auto it = delays_.find(DelayKeyLess::View{from, to});
   if (it != delays_.end()) return *it->second;
   if (find_signal(from) == nullptr || find_signal(to) == nullptr) {
     throw std::out_of_range("delay endpoints must be declared signals of " +
@@ -508,13 +516,13 @@ ClassDelayVar& CellClass::declare_delay(const std::string& from,
   }
   auto var = std::make_unique<ClassDelayVar>(context(), *this, from, to, name_);
   ClassDelayVar& ref = *var;
-  delays_.emplace(key, std::move(var));
+  delays_.emplace(std::make_pair(from, to), std::move(var));
   return ref;
 }
 
-ClassDelayVar* CellClass::find_delay(const std::string& from,
-                                     const std::string& to) const {
-  auto it = delays_.find(std::make_pair(from, to));
+ClassDelayVar* CellClass::find_delay(std::string_view from,
+                                     std::string_view to) const {
+  auto it = delays_.find(DelayKeyLess::View{from, to});
   if (it != delays_.end()) return it->second.get();
   if (superclass_ != nullptr) return superclass_->find_delay(from, to);
   return nullptr;

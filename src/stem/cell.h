@@ -13,6 +13,8 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "stem/compatible.h"
@@ -35,6 +37,21 @@ const char* to_string(SignalDirection d);
 enum class Side { kLeft, kBottom, kRight, kTop };
 const char* to_string(Side s);
 Side opposite(Side s);
+
+/// Orders (from, to) delay keys and finds one by a pair of string_views, so
+/// a lookup copies no name.
+struct DelayKeyLess {
+  using is_transparent = void;
+  using View = std::pair<std::string_view, std::string_view>;
+  static View view(const std::pair<std::string, std::string>& k) {
+    return {k.first, k.second};
+  }
+  static View view(const View& k) { return k; }
+  template <typename A, typename B>
+  bool operator()(const A& a, const B& b) const {
+    return view(a) < view(b);
+  }
+};
 
 struct IoPin {
   std::string signal;
@@ -129,16 +146,21 @@ class CellInstance {
   /// Per-signal instance bit width (created on demand, dual to the class
   /// signal's width).
   InstanceBitWidthVar& bit_width(const std::string& signal);
+  /// The bit width created so far for `signal`, or nullptr; creates nothing.
+  InstanceBitWidthVar* find_bit_width(std::string_view signal) const;
   /// Every instance bit-width variable created so far (for audits).
   std::vector<InstanceBitWidthVar*> bit_width_variables() const;
   /// Per-parameter instance value (created on demand).
   InstanceParamVar& parameter(const std::string& name);
+  /// The parameter created so far for `name`, or nullptr; creates nothing.
+  InstanceParamVar* find_parameter(std::string_view name) const;
   /// Every instance parameter variable created so far (for audits).
   std::vector<InstanceParamVar*> parameter_variables() const;
   /// Instance delay dual for a declared class delay (created on demand).
   InstanceDelayVar& delay(const std::string& from, const std::string& to);
-  InstanceDelayVar* find_delay(const std::string& from,
-                               const std::string& to) const;
+  /// The delay created so far for from->to, or nullptr; creates nothing.
+  InstanceDelayVar* find_delay(std::string_view from,
+                               std::string_view to) const;
   std::vector<InstanceDelayVar*> delay_variables() const;
 
   /// Net connected to a signal of this instance; nullptr if unconnected.
@@ -163,10 +185,12 @@ class CellInstance {
   std::string name_;
   core::Transform transform_;
   std::unique_ptr<InstanceBBoxVar> bbox_;
-  std::map<std::string, std::unique_ptr<InstanceBitWidthVar>> bit_widths_;
-  std::map<std::string, std::unique_ptr<InstanceParamVar>> params_;
+  std::map<std::string, std::unique_ptr<InstanceBitWidthVar>, std::less<>>
+      bit_widths_;
+  std::map<std::string, std::unique_ptr<InstanceParamVar>, std::less<>>
+      params_;
   std::map<std::pair<std::string, std::string>,
-           std::unique_ptr<InstanceDelayVar>>
+           std::unique_ptr<InstanceDelayVar>, DelayKeyLess>
       delays_;
   std::map<std::string, Net*> connections_;
 };
@@ -198,7 +222,8 @@ class CellClass : public Model {
 
   // ---- interface ---------------------------------------------------------
   IoSignal& declare_signal(const std::string& name, SignalDirection dir);
-  IoSignal* find_signal(const std::string& name) const;
+  /// Declared here or inherited (nearest wins).
+  IoSignal* find_signal(std::string_view name) const;
   IoSignal& signal(const std::string& name) const;
   const std::vector<std::unique_ptr<IoSignal>>& signals() const {
     return signals_;
@@ -208,9 +233,11 @@ class CellClass : public Model {
 
   ClassParamVar& declare_parameter(const std::string& name, double lo,
                                    double hi, core::Value default_value);
-  ClassParamVar* find_parameter(const std::string& name) const;
-  const std::map<std::string, std::unique_ptr<ClassParamVar>>& parameters()
-      const {
+  /// Declared here or inherited (nearest wins).
+  ClassParamVar* find_parameter(std::string_view name) const;
+  /// The parameters declared on this class itself.
+  const std::map<std::string, std::unique_ptr<ClassParamVar>, std::less<>>&
+  parameters() const {
     return params_;
   }
 
@@ -228,7 +255,8 @@ class CellClass : public Model {
   const std::vector<std::unique_ptr<CellInstance>>& subcells() const {
     return subcells_;
   }
-  CellInstance* find_subcell(const std::string& name) const;
+  /// The first subcell named `name`.
+  CellInstance* find_subcell(std::string_view name) const;
   /// Whether this class is `other` or is instantiated, at any depth, inside
   /// `other`.
   bool is_part_of(const CellClass& other) const;
@@ -254,8 +282,8 @@ class CellClass : public Model {
 
   // ---- delays (thesis §7.3) --------------------------------------------------
   ClassDelayVar& declare_delay(const std::string& from, const std::string& to);
-  ClassDelayVar* find_delay(const std::string& from,
-                            const std::string& to) const;
+  /// Declared here or inherited (nearest wins).
+  ClassDelayVar* find_delay(std::string_view from, std::string_view to) const;
   std::vector<ClassDelayVar*> delay_variables() const;
   /// Assign a leaf cell's characteristic delay (calculated / measured).
   core::Status set_leaf_delay(const std::string& from, const std::string& to,
@@ -329,7 +357,7 @@ class CellClass : public Model {
   bool generic_ = false;
 
   std::vector<std::unique_ptr<IoSignal>> signals_;
-  std::map<std::string, std::unique_ptr<ClassParamVar>> params_;
+  std::map<std::string, std::unique_ptr<ClassParamVar>, std::less<>> params_;
   std::vector<std::unique_ptr<CellInstance>> subcells_;
   std::vector<std::unique_ptr<Net>> nets_;
   std::vector<CellInstance*> instances_;
@@ -337,7 +365,8 @@ class CellClass : public Model {
   std::unique_ptr<ClassBBoxVar> bbox_;
   DeviceInfo device_;
 
-  std::map<std::pair<std::string, std::string>, std::unique_ptr<ClassDelayVar>>
+  std::map<std::pair<std::string, std::string>, std::unique_ptr<ClassDelayVar>,
+           DelayKeyLess>
       delays_;
   bool delay_networks_built_ = false;
   std::vector<std::unique_ptr<core::Variable>> delay_aux_vars_;

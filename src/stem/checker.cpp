@@ -52,11 +52,12 @@ CheckReport DesignChecker::check(CellClass& cell) {
   collect_variables(cell, vars);
 
   std::set<const core::Propagatable*> constraints;
+  std::vector<core::Propagatable*> implicit;
   for (core::Variable* v : vars) {
     for (core::Propagatable* c : v->constraints()) constraints.insert(c);
-    for (core::Propagatable* c : v->implicit_constraints()) {
-      constraints.insert(c);
-    }
+    implicit.clear();
+    v->append_implicit_constraints(implicit);
+    constraints.insert(implicit.begin(), implicit.end());
   }
 
   CheckReport report;
@@ -70,6 +71,7 @@ CheckReport DesignChecker::check(CellClass& cell) {
 
 CheckReport DesignChecker::check(Library& lib) {
   std::set<const core::Propagatable*> seen;
+  std::vector<core::Propagatable*> implicit;
   CheckReport report;
   for (const auto& cell : lib.cells()) {
     std::set<core::Variable*> vars;
@@ -83,7 +85,9 @@ CheckReport DesignChecker::check(Library& lib) {
         }
       };
       for (core::Propagatable* c : v->constraints()) consider(c);
-      for (core::Propagatable* c : v->implicit_constraints()) consider(c);
+      implicit.clear();
+      v->append_implicit_constraints(implicit);
+      for (core::Propagatable* c : implicit) consider(c);
     }
   }
   return report;

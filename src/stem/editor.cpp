@@ -35,10 +35,9 @@ std::string ConstraintInspector::describe(const Propagatable& c) {
 
 std::vector<const Propagatable*> ConstraintInspector::constraints_of(
     const Variable& v) {
-  std::vector<const Propagatable*> out;
-  for (const Propagatable* c : v.constraints()) out.push_back(c);
-  for (const Propagatable* c : v.implicit_constraints()) out.push_back(c);
-  return out;
+  std::vector<Propagatable*> all = v.constraints();
+  v.append_implicit_constraints(all);
+  return {all.begin(), all.end()};
 }
 
 std::string ConstraintInspector::antecedent_report(const Variable& v) {

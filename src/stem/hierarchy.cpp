@@ -81,11 +81,9 @@ std::vector<Variable*> ClassVar::duals() const {
   return out;
 }
 
-std::vector<core::Propagatable*> ClassVar::implicit_constraints() const {
-  std::vector<core::Propagatable*> out;
-  out.reserve(instances_.size());
-  for (InstanceVar* v : instances_) out.push_back(v);
-  return out;
+void ClassVar::append_implicit_constraints(
+    std::vector<core::Propagatable*>& out) const {
+  out.insert(out.end(), instances_.begin(), instances_.end());
 }
 
 void ClassVar::register_dual(InstanceVar& v) {
@@ -119,9 +117,9 @@ std::vector<Variable*> InstanceVar::duals() const {
   return {dual_};
 }
 
-std::vector<core::Propagatable*> InstanceVar::implicit_constraints() const {
-  if (dual_ == nullptr) return {};
-  return {dual_};
+void InstanceVar::append_implicit_constraints(
+    std::vector<core::Propagatable*>& out) const {
+  if (dual_ != nullptr) out.push_back(dual_);
 }
 
 }  // namespace stemcp::env

@@ -77,7 +77,8 @@ class ClassVar : public StemVariable {
   using StemVariable::StemVariable;
 
   std::vector<core::Variable*> duals() const override;
-  std::vector<core::Propagatable*> implicit_constraints() const override;
+  void append_implicit_constraints(
+      std::vector<core::Propagatable*>& out) const override;
 
   void register_dual(class InstanceVar& v);
   void unregister_dual(class InstanceVar& v);
@@ -99,7 +100,8 @@ class InstanceVar : public StemVariable {
 
   ClassVar* class_dual() const { return dual_; }
   std::vector<core::Variable*> duals() const override;
-  std::vector<core::Propagatable*> implicit_constraints() const override;
+  void append_implicit_constraints(
+      std::vector<core::Propagatable*>& out) const override;
 
  private:
   ClassVar* dual_;

@@ -19,6 +19,7 @@ Library::~Library() {
     bool destroyed = false;
     for (std::size_t i = cells_.size(); i-- > 0;) {
       if (cells_[i]->instances().empty()) {
+        index_.erase(cells_[i]->name());
         cells_.erase(cells_.begin() + static_cast<std::ptrdiff_t>(i));
         destroyed = true;
         break;
@@ -26,12 +27,18 @@ Library::~Library() {
     }
     // Unreachable unless instantiation ever becomes cyclic; prefer the old
     // newest-first behavior over spinning.
-    if (!destroyed) cells_.pop_back();
+    if (!destroyed) {
+      index_.erase(cells_.back()->name());
+      cells_.pop_back();
+    }
   }
 }
 
 void Library::rollback_cells_to(std::size_t count) {
-  while (cells_.size() > count) cells_.pop_back();
+  while (cells_.size() > count) {
+    index_.erase(cells_.back()->name());
+    cells_.pop_back();
+  }
 }
 
 CellClass& Library::define_cell(const std::string& name,
@@ -40,14 +47,14 @@ CellClass& Library::define_cell(const std::string& name,
     throw std::invalid_argument("cell already defined: " + name);
   }
   cells_.push_back(std::make_unique<CellClass>(*this, name, superclass));
-  return *cells_.back();
+  CellClass& c = *cells_.back();
+  index_.emplace(c.name(), &c);
+  return c;
 }
 
-CellClass* Library::find(const std::string& name) const {
-  for (const auto& c : cells_) {
-    if (c->name() == name) return c.get();
-  }
-  return nullptr;
+CellClass* Library::find(std::string_view name) const {
+  const auto it = index_.find(name);
+  return it == index_.end() ? nullptr : it->second;
 }
 
 CellClass& Library::cell(const std::string& name) const {

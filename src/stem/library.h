@@ -5,6 +5,8 @@
 
 #include <memory>
 #include <string>
+#include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "core/core.h"
@@ -30,7 +32,8 @@ class Library {
   /// Define a cell class, optionally as a subclass of an existing one.
   CellClass& define_cell(const std::string& name,
                          CellClass* superclass = nullptr);
-  CellClass* find(const std::string& name) const;
+  /// One hashed lookup in the name index; no copy of `name` is made.
+  CellClass* find(std::string_view name) const;
   CellClass& cell(const std::string& name) const;
   const std::vector<std::unique_ptr<CellClass>>& cells() const {
     return cells_;
@@ -59,6 +62,9 @@ class Library {
   core::PropagationContext ctx_;  // outlives cells_ (declared first)
   SignalTypeRegistry types_;
   std::vector<std::unique_ptr<CellClass>> cells_;
+  /// name → cell, for every cell in cells_.  Each key views its cell's own
+  /// name, so an entry leaves the index before its cell is destroyed.
+  std::unordered_map<std::string_view, CellClass*> index_;
   SelectionStats selection_stats_;
 };
 

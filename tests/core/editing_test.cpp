@@ -115,10 +115,33 @@ TEST_F(EditingTest, FunctionalConstraintArrivesAfterValues) {
   EXPECT_EQ(s.value().as_int(), 5) << "sum computed on constraint creation";
 }
 
+// Rollback destroys the constraints past a count, so destroying any one
+// must leave the others in creation order.
+TEST_F(EditingTest, DestroyConstraintKeepsCreationOrder) {
+  auto& c0 = ctx.make<EqualityConstraint>();
+  auto& c1 = ctx.make<EqualityConstraint>();
+  auto& c2 = ctx.make<EqualityConstraint>();
+  auto& c3 = ctx.make<EqualityConstraint>();
+  ctx.destroy_constraint(c1);
+  EXPECT_EQ(ctx.all_constraints(),
+            (std::vector<Constraint*>{&c0, &c2, &c3}));
+  ctx.destroy_constraint(c3);
+  ctx.destroy_constraint(c0);
+  EXPECT_EQ(ctx.all_constraints(), (std::vector<Constraint*>{&c2}));
+}
+
 TEST_F(EditingTest, DestroyConstraintUnknownToContextThrows) {
   PropagationContext other;
+  Variable a(other, "t", "a"), b(other, "t", "b");
   auto& eq = other.make<EqualityConstraint>();
+  ASSERT_TRUE(eq.add_argument(a));
+  ASSERT_TRUE(eq.add_argument(b));
+  ASSERT_TRUE(a.set_user(Value(5)));
   EXPECT_THROW(ctx.destroy_constraint(eq), std::logic_error);
+  // Refused before it touched the other context's network.
+  EXPECT_EQ(eq.arguments().size(), 2u);
+  EXPECT_EQ(a.constraints().size(), 1u);
+  EXPECT_EQ(b.value().as_int(), 5);
 }
 
 }  // namespace

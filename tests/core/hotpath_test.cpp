@@ -11,8 +11,12 @@
 #include <new>
 
 #include "core/core.h"
+#include "fig5_1_network.h"
 #include "persist/journal.h"
+#include "service/session.h"
 #include "service/telemetry.h"
+#include "stem/io.h"
+#include "stem/stem.h"
 #include "workload/recorder.h"
 
 namespace {
@@ -115,6 +119,79 @@ TEST(HotPathTest, SteadyStateSchedulerPathAllocatesNothing) {
     sched.clear();
   }
   EXPECT_EQ(alloc_count(), before);
+}
+
+// E5.1's hierarchical network (bench/fig5_1_network.h): a head change runs
+// the internal chain, then crosses the class characteristic's implicit links
+// to N instance duals, each of which fans out again.  Every fan-out
+// snapshots its implicit links into the context's pooled scratch, so a
+// steady-state change allocates nothing.
+TEST(HotPathTest, HierarchicalFanOutAllocatesNothing) {
+  constexpr int kInstances = 16;
+  constexpr int kInternal = 64;
+  fig5_1::Hierarchical net(kInstances, kInternal);
+  for (int i = 0; i < 4; ++i) {  // warm-up: trail, agendas, scratch pool
+    ASSERT_TRUE(net.head.set_user(Value(static_cast<double>(i))));
+  }
+  const std::uint64_t before = alloc_count();
+  for (int i = 4; i < 68; ++i) {
+    ASSERT_TRUE(net.head.set_user(Value(static_cast<double>(i))));
+  }
+  EXPECT_EQ(alloc_count(), before)
+      << "a head change must not allocate per dual it crosses";
+  EXPECT_DOUBLE_EQ(net.external.back()->value().as_number(),
+                   67.0 + kInternal + 5.0);
+}
+
+// Name resolution walks a path through the design database with string_view
+// slices of it (src/service/session.cpp): no path shape allocates, even with
+// names past std::string's inline buffer.
+TEST(HotPathTest, NameResolutionAllocatesNothing) {
+  service::DesignSession s("hotpath");
+  env::LibraryReader::read_string(s.library(), R"(cell LONG_LEAF_CLASS.REALIZATION
+  bbox 0 0 4 4
+  signal input_signal_with_a_long_name input width 8
+  signal output_signal_with_a_long_name output
+  param drive_strength_parameter 1 8 default 2
+  delay input_signal_with_a_long_name output_signal_with_a_long_name value 1e-9
+end
+cell LONG_COMPOSITE_CLASS_NAME
+  subcell instance_with_a_long_name.0 LONG_LEAF_CLASS.REALIZATION R0 0 0
+end
+)");
+  env::CellInstance& inst = *s.library()
+                                 .cell("LONG_COMPOSITE_CLASS_NAME")
+                                 .find_subcell("instance_with_a_long_name.0");
+  inst.bit_width("input_signal_with_a_long_name");
+  inst.parameter("drive_strength_parameter");
+  inst.delay("input_signal_with_a_long_name", "output_signal_with_a_long_name");
+  const std::string leaf = "LONG_LEAF_CLASS.REALIZATION";
+  const std::string in = "input_signal_with_a_long_name";
+  const std::string out = "output_signal_with_a_long_name";
+  const std::string delay = "delay(" + in + "->" + out + ")";
+  const std::string owner =
+      "LONG_COMPOSITE_CLASS_NAME/instance_with_a_long_name.0";
+  const std::vector<std::string> paths = {
+      leaf + ".boundingBox",
+      leaf + "." + in + ".bitWidth",
+      leaf + "." + out + ".dataType",
+      leaf + "." + in + ".electricalType",
+      leaf + ".param(drive_strength_parameter)",
+      leaf + "." + delay,
+      owner + ".boundingBox",
+      owner + ".bitWidth(" + in + ")",
+      owner + ".param(drive_strength_parameter)",
+      owner + "." + delay,
+  };
+  const std::string unknown = owner + ".param(no_such_parameter_anywhere)";
+  for (const std::string& p : paths) EXPECT_NE(s.find_variable(p), nullptr) << p;
+  EXPECT_EQ(s.find_variable(unknown), nullptr);
+  const std::uint64_t before = alloc_count();
+  for (int round = 0; round < 16; ++round) {
+    for (const std::string& p : paths) s.find_variable(p);
+    s.find_variable(unknown);
+  }
+  EXPECT_EQ(alloc_count(), before) << "a lookup must not allocate";
 }
 
 // The pop order of a full session must match the pre-optimization engine:

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <string>
 #include <thread>
@@ -256,6 +257,45 @@ TEST(DesignServiceTest, LoadKeepsTheRequestCount) {
   ASSERT_TRUE(r.ok) << r.error;
   EXPECT_NE(r.text.find("requests served: 2\n"), std::string::npos) << r.text;
   EXPECT_NE(r.text.find("\"svc.requests\":2"), std::string::npos) << r.text;
+}
+
+// `query vars <cell>` lists that cell's class-level variables and nothing
+// of a class whose name merely starts with `<cell>.`.
+TEST(DesignServiceTest, QueryVarsListsOnlyThatCellsClassVariables) {
+  DesignService svc(1);
+  ASSERT_TRUE(svc.call(make(RequestType::kOpen, "t")).ok);
+  ASSERT_TRUE(svc.call(make(RequestType::kLoad, "t", R"(cell ADD
+  bbox 0 0 4 4
+  signal a input
+  param w 1 8 default 2
+  delay a a
+end
+cell ADD.X super ADD
+  bbox 0 0 4 4
+  signal b input
+end
+cell TOP
+  subcell u ADD R0 0 0
+end
+)")).ok);
+  Response r = svc.call(make(RequestType::kQuery, "t", "vars ADD"));
+  ASSERT_TRUE(r.ok) << r.error;
+  EXPECT_EQ(r.text.find("ADD.X"), std::string::npos) << r.text;
+  for (const char* path : {"ADD.boundingBox = ", "ADD.a.bitWidth = ",
+                           "ADD.a.dataType = ", "ADD.a.electricalType = ",
+                           "ADD.param(w) = ", "ADD.delay(a->a) = "}) {
+    EXPECT_NE(r.text.find(path), std::string::npos) << path << '\n' << r.text;
+  }
+  EXPECT_EQ(std::count(r.text.begin(), r.text.end(), '\n'), 6) << r.text;
+
+  r = svc.call(make(RequestType::kQuery, "t", "vars ADD.X"));
+  ASSERT_TRUE(r.ok) << r.error;
+  EXPECT_EQ(r.text.rfind("ADD.X.boundingBox = ", 0), 0u) << r.text;
+  EXPECT_EQ(std::count(r.text.begin(), r.text.end(), '\n'), 4) << r.text;
+
+  r = svc.call(make(RequestType::kQuery, "t", "vars NOSUCH"));
+  ASSERT_TRUE(r.ok) << r.error;
+  EXPECT_EQ(r.text, "");
 }
 
 TEST(DesignServiceTest, CloseFoldsSessionMetricsIntoGlobal) {
