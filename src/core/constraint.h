@@ -83,7 +83,11 @@ class Constraint : public Propagatable {
   std::vector<Variable*> args_;
 
  private:
+  friend class PropagationContext;
+
   PropagationContext& ctx_;
+  /// Index in the owning context's constraint list (set by make()).
+  std::size_t slot_ = static_cast<std::size_t>(-1);
   bool enabled_ = true;
   Strength strength_ = Strength::kNormal;
 };

@@ -1,7 +1,5 @@
 #include "core/engine.h"
 
-#include <algorithm>
-#include <iterator>
 #include <stdexcept>
 
 #include "core/constraint.h"
@@ -43,19 +41,23 @@ PropagationContext::~PropagationContext() {
 
 std::vector<Constraint*> PropagationContext::all_constraints() const {
   std::vector<Constraint*> out;
-  out.reserve(constraints_.size());
-  for (const auto& c : constraints_) out.push_back(c.get());
+  out.reserve(live_constraints_);
+  for (const auto& c : constraints_) {
+    if (c != nullptr) out.push_back(c.get());
+  }
   return out;
 }
 
+void PropagationContext::adopt(std::unique_ptr<Constraint> c) {
+  c->slot_ = constraints_.size();
+  constraints_.push_back(std::move(c));
+  ++live_constraints_;
+}
+
 void PropagationContext::destroy_constraint(Constraint& c) {
-  // Refuse a constraint of another context before touching it.  Teardown
-  // and rollback destroy newest-first, so search from the back.  Nothing
-  // below adds or removes constraints, so `owned` stays valid.
-  const auto owned = std::find_if(
-      constraints_.rbegin(), constraints_.rend(),
-      [&](const std::unique_ptr<Constraint>& p) { return p.get() == &c; });
-  if (owned == constraints_.rend()) {
+  // Refuse a constraint of another context before touching it.
+  const std::size_t slot = c.slot_;
+  if (slot >= constraints_.size() || constraints_[slot].get() != &c) {
     throw std::logic_error("destroy_constraint: not owned by this context");
   }
   if (tracing()) {
@@ -77,7 +79,22 @@ void PropagationContext::destroy_constraint(Constraint& c) {
   for (const Variable* v : trace.variables) {
     const_cast<Variable*>(v)->reset_raw();
   }
-  constraints_.erase(std::next(owned).base());
+  // Release the slot; `c` is deleted on return.
+  const std::unique_ptr<Constraint> victim = std::move(constraints_[slot]);
+  --live_constraints_;
+  while (!constraints_.empty() && constraints_.back() == nullptr) {
+    constraints_.pop_back();
+  }
+  if (constraints_.size() > 2 * live_constraints_) {
+    std::size_t kept = 0;
+    for (std::unique_ptr<Constraint>& p : constraints_) {
+      if (p == nullptr) continue;
+      p->slot_ = kept;
+      if (&constraints_[kept] != &p) constraints_[kept] = std::move(p);
+      ++kept;
+    }
+    constraints_.resize(kept);
+  }
 }
 
 Status PropagationContext::run_session_impl(Status (*invoke)(void*),

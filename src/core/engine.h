@@ -49,17 +49,19 @@ class PropagationContext {
   T& make(Args&&... args) {
     auto owned = std::make_unique<T>(*this, std::forward<Args>(args)...);
     T& ref = *owned;
-    constraints_.push_back(std::move(owned));
+    adopt(std::move(owned));
     return ref;
   }
 
   /// Destroy a constraint: erase every value that depends on it, detach it
-  /// from all argument variables, and release it (thesis §4.2.5).
+  /// from all argument variables, and release it (thesis §4.2.5).  O(1)
+  /// apart from that work: the constraint knows its slot.  Throws
+  /// std::logic_error, touching nothing, for another context's constraint.
   void destroy_constraint(Constraint& c);
 
-  std::size_t constraint_count() const { return constraints_.size(); }
-  /// Non-owning view of every constraint in the context (for audits and
-  /// global recovery).
+  std::size_t constraint_count() const { return live_constraints_; }
+  /// Non-owning view of every constraint in the context, in creation order
+  /// (for audits, global recovery and the library reader's rollback).
   std::vector<Constraint*> all_constraints() const;
 
   // ---- CPSwitch ---------------------------------------------------------
@@ -189,6 +191,7 @@ class PropagationContext {
   friend class Variable;
 
   Status run_session_impl(Status (*invoke)(void*), void* body);
+  void adopt(std::unique_ptr<Constraint> c);
 
   /// One undo-trail slot: a visited variable and its pre-change state.
   /// Slots are reused across sessions (trail_size_ is the live prefix), so
@@ -203,7 +206,11 @@ class PropagationContext {
   bool in_propagation_ = false;
   int max_changes_per_variable_ = 1;
 
+  /// Owned constraints in creation order, each at the slot it records.  A
+  /// destroyed one leaves a null slot; trailing nulls are dropped, and the
+  /// rest are squeezed out once they outnumber the live constraints.
   std::vector<std::unique_ptr<Constraint>> constraints_;
+  std::size_t live_constraints_ = 0;
   AgendaScheduler agenda_;
 
   /// Current session stamp; a Variable/Propagatable whose visit_epoch_

@@ -311,7 +311,9 @@ void do_query(DesignSession& s, const Request& r, Response& resp) {
     };
     if (cell.empty()) {
       s.for_each_variable(print);
-    } else if (env::CellClass* c = s.library().find(cell)) {
+    } else {
+      env::CellClass* c = require_cell(s, cell, resp);
+      if (c == nullptr) return;
       DesignSession::for_each_class_variable(*c, print);
     }
   } else if (what == "stats") {

@@ -35,9 +35,7 @@ void visit_cell_variables(CellClass& cell, Fn&& fn) {
   visit_class_variables(cell, fn);
   for (const auto& sub : cell.subcells()) {
     fn(sub->bounding_box());
-    for (env::InstanceBitWidthVar* v : sub->bit_width_variables()) fn(*v);
-    for (env::InstanceParamVar* v : sub->parameter_variables()) fn(*v);
-    for (env::InstanceDelayVar* v : sub->delay_variables()) fn(*v);
+    sub->for_each_variable(fn);
   }
 }
 

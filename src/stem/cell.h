@@ -162,6 +162,15 @@ class CellInstance {
   InstanceDelayVar* find_delay(std::string_view from,
                                std::string_view to) const;
   std::vector<InstanceDelayVar*> delay_variables() const;
+  /// Visit every instance variable created so far, in place: the bit
+  /// widths, the parameters and the delays, in the orders of the three
+  /// lists above.
+  template <typename Fn>
+  void for_each_variable(Fn&& fn) const {
+    for (const auto& [signal, var] : bit_widths_) fn(*var);
+    for (const auto& [name, var] : params_) fn(*var);
+    for (const auto& [key, var] : delays_) fn(*var);
+  }
 
   /// Net connected to a signal of this instance; nullptr if unconnected.
   Net* net_for(const std::string& signal) const;

@@ -1,13 +1,16 @@
 #include "stem/io.h"
 
-#include <iomanip>
+#include <charconv>
+#include <istream>
 #include <iterator>
-#include <sstream>
+#include <ostream>
 #include <stdexcept>
+#include <string_view>
 #include <utility>
 
 #include "stem/cell.h"
 #include "stem/net.h"
+#include "stem/word_cursor.h"
 
 namespace stemcp::env {
 
@@ -31,18 +34,49 @@ const char* device_kind_name(DeviceInfo::Kind k) {
   return "none";
 }
 
+/// Library text appended to one string: words as they are, integers in
+/// decimal, and reals as %.17g, which reads back as the same double.
+class TextOut {
+ public:
+  explicit TextOut(std::string& out) : out_(out) {}
+
+  TextOut& operator<<(std::string_view word) {
+    out_ += word;
+    return *this;
+  }
+  TextOut& operator<<(char c) {
+    out_ += c;
+    return *this;
+  }
+  TextOut& operator<<(std::int64_t v) {
+    char buf[24];
+    out_.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
+    return *this;
+  }
+  TextOut& operator<<(double v) {
+    char buf[32];
+    out_.append(buf, std::to_chars(buf, buf + sizeof buf, v,
+                                   std::chars_format::general, 17)
+                         .ptr);
+    return *this;
+  }
+
+ private:
+  std::string& out_;
+};
+
 /// Bound specifications attached to a variable, serialized one per line.
-void write_specs(const core::Variable& v, const std::string& prefix,
-                 std::ostream& out) {
+void write_specs(const core::Variable& v, std::string_view prefix,
+                 TextOut& out) {
   for (const core::Propagatable* p : v.constraints()) {
     const auto* bound = dynamic_cast<const core::BoundConstraint*>(p);
     if (bound == nullptr || !bound->bound().is_number()) continue;
     out << prefix << " " << core::to_string(bound->relation()) << ' '
-        << std::setprecision(17) << bound->bound().as_number() << '\n';
+        << bound->bound().as_number() << '\n';
   }
 }
 
-void write_cell(const CellClass& cell, std::ostream& out) {
+void write_cell(const CellClass& cell, TextOut& out) {
   out << "cell " << cell.name();
   if (cell.superclass() != nullptr) out << " super " << cell.superclass()->name();
   if (cell.is_generic()) out << " generic";
@@ -51,7 +85,7 @@ void write_cell(const CellClass& cell, std::ostream& out) {
   if (cell.is_device()) {
     const DeviceInfo& d = cell.device();
     out << "  device " << device_kind_name(d.kind) << ' '
-        << std::setprecision(17) << d.value << ' ' << d.ron << '\n';
+        << d.value << ' ' << d.ron << '\n';
   }
 
   const core::Value& bb = cell.bounding_box().value();
@@ -74,10 +108,10 @@ void write_cell(const CellClass& cell, std::ostream& out) {
       out << " elec " << t->name();
     }
     if (sig->load_capacitance() != 0.0) {
-      out << " load " << std::setprecision(17) << sig->load_capacitance();
+      out << " load " << sig->load_capacitance();
     }
     if (sig->output_resistance() != 0.0) {
-      out << " rout " << std::setprecision(17) << sig->output_resistance();
+      out << " rout " << sig->output_resistance();
     }
     out << '\n';
     for (const IoPin& pin : sig->pins()) {
@@ -89,13 +123,12 @@ void write_cell(const CellClass& cell, std::ostream& out) {
   for (const auto& [pname, pvar] : cell.parameters()) {
     out << "  param " << pname;
     if (pvar->has_range()) {
-      out << ' ' << std::setprecision(17) << pvar->lo() << ' ' << pvar->hi();
+      out << ' ' << pvar->lo() << ' ' << pvar->hi();
     } else {
       out << " 0 0";
     }
     if (pvar->has_value() && pvar->value().is_number()) {
-      out << " default " << std::setprecision(17)
-          << pvar->value().as_number();
+      out << " default " << pvar->value().as_number();
     }
     out << '\n';
   }
@@ -104,7 +137,7 @@ void write_cell(const CellClass& cell, std::ostream& out) {
     if (&d->owner() != &cell) continue;  // inherited: written with its owner
     out << "  delay " << d->from() << ' ' << d->to();
     if (d->value().is_number() && !d->last_set_by().is_propagated()) {
-      out << " value " << std::setprecision(17) << d->value().as_number();
+      out << " value " << d->value().as_number();
     }
     out << '\n';
     write_specs(*d, "    spec", out);
@@ -162,8 +195,8 @@ struct Parser {
   explicit Parser(Library& l) : lib(l) {}
 
   Library& lib;
-  int line_no = 0;   ///< 0 while applying an edit command
-  std::string text;  ///< the line or edit command being applied
+  int line_no = 0;        ///< 0 while applying an edit command
+  std::string_view text;  ///< the line or edit command being applied
   CellClass* cell = nullptr;
   IoSignal* signal = nullptr;
   ClassDelayVar* delay = nullptr;
@@ -172,7 +205,7 @@ struct Parser {
   struct Build {
     CellClass* cell;
     int line_no;
-    std::string text;
+    std::string_view text;
   };
   std::vector<Build> deferred_builds;  ///< one per structured cell's `end`
 
@@ -180,7 +213,8 @@ struct Parser {
     const std::string where =
         line_no > 0 ? "library parse error, line " + std::to_string(line_no)
                     : std::string("library edit error");
-    throw ParseError(printable(where + ": " + msg + " in \"" + text + "\""));
+    throw ParseError(
+        printable(where + ": " + msg + " in \"" + std::string(text) + "\""));
   }
 
   template <typename F>
@@ -194,15 +228,16 @@ struct Parser {
     }
   }
 
-  void read(std::istream& in) {
-    std::string line;
-    while (std::getline(in, line)) {
+  /// Every line of `input`, which must outlive the parser: each line is
+  /// read in place, and its text is kept for error messages.
+  void read(std::string_view input) {
+    std::string keyword;
+    while (!input.empty()) {
+      const std::size_t newline = input.find('\n');
+      text = input.substr(0, newline);
+      input.remove_prefix(newline == input.npos ? input.size() : newline + 1);
       ++line_no;
-      text = line;
-      const auto hash = line.find('#');
-      if (hash != std::string::npos) line.erase(hash);
-      std::istringstream ls(line);
-      std::string keyword;
+      WordCursor ls(text.substr(0, text.find('#')));
       if (!(ls >> keyword)) continue;
       // A load restores a saved design, so a designer-entered box or delay
       // value the design rejects makes the file inconsistent.
@@ -226,7 +261,7 @@ struct Parser {
     text = command;
     // As on a library line, '#' starts a comment: a name the format cannot
     // save must not enter the design.
-    std::istringstream ls(command.substr(0, command.find('#')));
+    WordCursor ls(text.substr(0, text.find('#')));
     std::string op;
     std::string cell_name;
     if (!(ls >> op)) fail("edit needs a command: " + kEditCommands);
@@ -253,14 +288,17 @@ struct Parser {
       return statement(op, ls);
     }
     // The three commands whose words are not their statement's.
-    std::vector<std::string> w{std::istream_iterator<std::string>(ls), {}};
+    std::vector<std::string> w;
+    for (std::string word; ls >> word;) w.push_back(std::move(word));
     if (op == "leaf-delay" && w.size() == 3) {
-      std::istringstream st(w[0] + ' ' + w[1] + " value " + w[2]);
+      const std::string line = w[0] + ' ' + w[1] + " value " + w[2];
+      WordCursor st(line);
       return statement("delay", st);
     }
     if (op == "subcell" && (w.size() == 2 || w.size() == 4)) {
       if (w.size() == 2) w.insert(w.end(), {"0", "0"});
-      std::istringstream st(w[0] + ' ' + w[1] + " R0 " + w[2] + ' ' + w[3]);
+      const std::string line = w[0] + ' ' + w[1] + " R0 " + w[2] + ' ' + w[3];
+      WordCursor st(line);
       return statement("subcell", st);
     }
     if (op == "build-delays" && w.empty()) {
@@ -272,11 +310,11 @@ struct Parser {
                             : "build-delays <cell>");
   }
 
-  Status statement(const std::string& keyword, std::istringstream& ls) {
+  Status statement(const std::string& keyword, WordCursor& ls) {
     return guarded([&] { return dispatch(keyword, ls); });
   }
 
-  Status dispatch(const std::string& keyword, std::istringstream& ls) {
+  Status dispatch(const std::string& keyword, WordCursor& ls) {
     if (keyword == "cell") return begin_cell(ls);
     if (cell == nullptr) fail("'" + keyword + "' outside a cell");
     if (keyword == "end") return end_cell(ls);
@@ -294,7 +332,7 @@ struct Parser {
     fail("unknown keyword '" + keyword + "'");
   }
 
-  void expect_end(std::istringstream& ls) const {
+  void expect_end(WordCursor& ls) const {
     std::string extra;
     if (ls >> extra) fail("unexpected '" + extra + "'");
   }
@@ -310,7 +348,7 @@ struct Parser {
     fail(std::string("unknown ") + what + " '" + word + "'");
   }
 
-  Status begin_cell(std::istringstream& ls) {
+  Status begin_cell(WordCursor& ls) {
     if (cell != nullptr) fail("nested cell");
     std::string name;
     if (!(ls >> name)) fail("cell needs a name");
@@ -334,7 +372,7 @@ struct Parser {
     return Status::ok();
   }
 
-  Status end_cell(std::istringstream& ls) {
+  Status end_cell(WordCursor& ls) {
     expect_end(ls);
     if (!cell->subcells().empty() && !cell->delay_variables().empty()) {
       deferred_builds.push_back({cell, line_no, text});
@@ -346,7 +384,7 @@ struct Parser {
     return Status::ok();
   }
 
-  Status parse_device(std::istringstream& ls) {
+  Status parse_device(WordCursor& ls) {
     std::string kind;
     double value = 0.0;
     double ron = 0.0;
@@ -359,14 +397,14 @@ struct Parser {
     return Status::ok();
   }
 
-  Status parse_bbox(std::istringstream& ls) {
+  Status parse_bbox(WordCursor& ls) {
     core::Rect r;
     if (!(ls >> r.x0 >> r.y0 >> r.x1 >> r.y1)) fail("bbox x0 y0 x1 y1");
     expect_end(ls);
     return cell->bounding_box().set_user(core::Value(r));
   }
 
-  Status parse_signal(std::istringstream& ls) {
+  Status parse_signal(WordCursor& ls) {
     std::string name;
     std::string dir;
     if (!(ls >> name >> dir)) fail("signal name direction");
@@ -407,7 +445,7 @@ struct Parser {
     return Status::ok();
   }
 
-  Status parse_pin(std::istringstream& ls) {
+  Status parse_pin(WordCursor& ls) {
     if (signal == nullptr) fail("pin outside a signal");
     core::Point p;
     std::string side;
@@ -418,7 +456,7 @@ struct Parser {
     return Status::ok();
   }
 
-  Status parse_param(std::istringstream& ls) {
+  Status parse_param(WordCursor& ls) {
     std::string name;
     double lo = 0.0;
     double hi = 0.0;
@@ -436,7 +474,7 @@ struct Parser {
     return Status::ok();
   }
 
-  Status parse_delay(std::istringstream& ls) {
+  Status parse_delay(WordCursor& ls) {
     std::string from;
     std::string to;
     if (!(ls >> from >> to)) fail("delay from to");
@@ -453,7 +491,7 @@ struct Parser {
     return delay->set(core::Value(v), core::Justification::application());
   }
 
-  Status parse_spec(std::istringstream& ls) {
+  Status parse_spec(WordCursor& ls) {
     std::string rel;
     double bound = 0.0;
     if (!(ls >> rel >> bound)) fail("spec relation bound");
@@ -481,7 +519,7 @@ struct Parser {
     return c.add_argument(*delay);
   }
 
-  Status parse_subcell(std::istringstream& ls) {
+  Status parse_subcell(WordCursor& ls) {
     std::string name;
     std::string cls_name;
     std::string orient;
@@ -499,7 +537,7 @@ struct Parser {
     return Status::ok();
   }
 
-  Status parse_net(std::istringstream& ls) {
+  Status parse_net(WordCursor& ls) {
     std::string name;
     if (!(ls >> name)) fail("net needs a name");
     expect_end(ls);
@@ -507,7 +545,7 @@ struct Parser {
     return Status::ok();
   }
 
-  Status parse_conn(std::istringstream& ls) {
+  Status parse_conn(WordCursor& ls) {
     if (net == nullptr) fail("conn outside a net");
     std::string inst_name;
     std::string sig_name;
@@ -518,7 +556,7 @@ struct Parser {
     return net->connect(*inst, sig_name);
   }
 
-  Status parse_io(std::istringstream& ls) {
+  Status parse_io(WordCursor& ls) {
     if (net == nullptr) fail("io outside a net");
     std::string sig_name;
     if (!(ls >> sig_name)) fail("io signal");
@@ -530,17 +568,23 @@ struct Parser {
 }  // namespace
 
 void LibraryWriter::write(const Library& lib, std::ostream& out) {
-  out << "# stemcp library '" << lib.name() << "'\n";
-  for (const auto& cell : lib.cells()) write_cell(*cell, out);
+  const std::string text = to_string(lib);
+  out.write(text.data(), static_cast<std::streamsize>(text.size()));
 }
 
 std::string LibraryWriter::to_string(const Library& lib) {
-  std::ostringstream os;
-  write(lib, os);
-  return os.str();
+  std::string text;
+  TextOut out(text);
+  out << "# stemcp library '" << lib.name() << "'\n";
+  for (const auto& cell : lib.cells()) write_cell(*cell, out);
+  return text;
 }
 
 void LibraryReader::read(Library& lib, std::istream& in) {
+  read_string(lib, std::string(std::istreambuf_iterator<char>(in), {}));
+}
+
+void LibraryReader::read_string(Library& lib, const std::string& text) {
   // Strong guarantee by rollback.  A statement changes only cells this read
   // defined, so on error it suffices to destroy those cells newest-first —
   // their nets and delay networks go with them, and so do their instances
@@ -551,7 +595,7 @@ void LibraryReader::read(Library& lib, std::istream& in) {
   const std::size_t cells_before = lib.cells().size();
   const std::size_t constraints_before = lib.context().constraint_count();
   try {
-    Parser{lib}.read(in);
+    Parser{lib}.read(text);
   } catch (...) {
     lib.rollback_cells_to(cells_before);
     const std::vector<core::Constraint*> cs = lib.context().all_constraints();
@@ -560,11 +604,6 @@ void LibraryReader::read(Library& lib, std::istream& in) {
     }
     throw;
   }
-}
-
-void LibraryReader::read_string(Library& lib, const std::string& text) {
-  std::istringstream is(text);
-  read(lib, is);
 }
 
 core::Status LibraryReader::edit(Library& lib, const std::string& command) {

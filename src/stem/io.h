@@ -31,6 +31,8 @@ class LibraryReader {
   /// database refuses.  A failed read destroys every cell and constraint it
   /// made, so `lib`'s design (cells, constraints, values) is as it was; the
   /// engine's counters, violation log and traces keep what the read did.
+  /// `read` takes the rest of `in` first, then reads it as `read_string`
+  /// does: each line in place, as a view of the one string.
   static void read(Library& lib, std::istream& in);
   static void read_string(Library& lib, const std::string& text);
 

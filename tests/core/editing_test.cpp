@@ -130,6 +130,30 @@ TEST_F(EditingTest, DestroyConstraintKeepsCreationOrder) {
   EXPECT_EQ(ctx.all_constraints(), (std::vector<Constraint*>{&c2}));
 }
 
+// A destroyed constraint's slot is emptied, trailing slots are dropped and
+// the rest squeezed out as they pile up; through every step, from the
+// front, the middle and the back, the survivors keep their creation order
+// and the count stays exact.
+TEST_F(EditingTest, DestroyFromFrontMiddleAndBackKeepsOrderAndCount) {
+  std::vector<Constraint*> live;
+  for (int i = 0; i < 64; ++i) live.push_back(&ctx.make<EqualityConstraint>());
+  const auto destroy_at = [&](std::size_t i) {
+    ctx.destroy_constraint(*live[i]);
+    live.erase(live.begin() + static_cast<std::ptrdiff_t>(i));
+    ASSERT_EQ(ctx.constraint_count(), live.size());
+    ASSERT_EQ(ctx.all_constraints(), live);
+  };
+  for (int i = 0; i < 10; ++i) destroy_at(0);                // front
+  for (int i = 0; i < 10; ++i) destroy_at(live.size() / 2);  // middle
+  for (int i = 0; i < 10; ++i) destroy_at(live.size() - 1);  // back
+  // New constraints go after the survivors, and the survivors stay
+  // destroyable wherever compaction moved them.
+  for (int i = 0; i < 8; ++i) live.push_back(&ctx.make<EqualityConstraint>());
+  ASSERT_EQ(ctx.all_constraints(), live);
+  for (std::size_t i = 0; !live.empty(); ++i) destroy_at(i % live.size());
+  EXPECT_EQ(ctx.constraint_count(), 0u);
+}
+
 TEST_F(EditingTest, DestroyConstraintUnknownToContextThrows) {
   PropagationContext other;
   Variable a(other, "t", "a"), b(other, "t", "b");
@@ -142,6 +166,17 @@ TEST_F(EditingTest, DestroyConstraintUnknownToContextThrows) {
   EXPECT_EQ(eq.arguments().size(), 2u);
   EXPECT_EQ(a.constraints().size(), 1u);
   EXPECT_EQ(b.value().as_int(), 5);
+}
+
+// Another context's constraint is refused even when this context has a
+// constraint in the slot it records.
+TEST_F(EditingTest, DestroyConstraintOfAnotherContextAtAnOwnedSlotThrows) {
+  PropagationContext other;
+  auto& mine = ctx.make<EqualityConstraint>();
+  auto& theirs = other.make<EqualityConstraint>();
+  EXPECT_THROW(ctx.destroy_constraint(theirs), std::logic_error);
+  EXPECT_EQ(ctx.all_constraints(), (std::vector<Constraint*>{&mine}));
+  EXPECT_EQ(other.all_constraints(), (std::vector<Constraint*>{&theirs}));
 }
 
 }  // namespace

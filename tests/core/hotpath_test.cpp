@@ -194,6 +194,26 @@ end
   EXPECT_EQ(alloc_count(), before) << "a lookup must not allocate";
 }
 
+// The library reader scans its text in place, one line at a time
+// (src/stem/word_cursor.h): a comment or blank line costs no allocation, so
+// 10,000 of them, each past std::string's inline buffer, cost what 10 do.
+TEST(HotPathTest, LibraryTextCommentLinesAllocateNothing) {
+  const auto load_allocs = [](int filler_lines) {
+    const std::string comment = "  # " + std::string(120, 'c') + '\n';
+    const std::string blank = std::string(80, ' ') + "\t\r\n";
+    std::string text = "cell STAGE\n  signal in input\n";
+    for (int i = 0; i < filler_lines; ++i) text += i % 2 ? comment : blank;
+    text += "  signal out output\n  delay in out value 1e-9\nend\n";
+    env::Library lib("hotpath");
+    const std::uint64_t before = alloc_count();
+    env::LibraryReader::read_string(lib, text);
+    return alloc_count() - before;
+  };
+  load_allocs(10);  // warm-up
+  EXPECT_EQ(load_allocs(10), load_allocs(10000))
+      << "a comment or blank line must not allocate";
+}
+
 // The pop order of a full session must match the pre-optimization engine:
 // implicit agenda drains before functional, FIFO within each, duplicates
 // suppressed.  stats().scheduled_runs pins exactly how many entries ran.

@@ -293,8 +293,11 @@ end
   EXPECT_EQ(r.text.rfind("ADD.X.boundingBox = ", 0), 0u) << r.text;
   EXPECT_EQ(std::count(r.text.begin(), r.text.end(), '\n'), 4) << r.text;
 
+  // A misspelt cell is an error, as in `report`, not a cell with no
+  // variables.
   r = svc.call(make(RequestType::kQuery, "t", "vars NOSUCH"));
-  ASSERT_TRUE(r.ok) << r.error;
+  EXPECT_FALSE(r.ok);
+  EXPECT_EQ(r.error, "unknown cell 'NOSUCH'");
   EXPECT_EQ(r.text, "");
 }
 

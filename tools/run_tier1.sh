@@ -34,8 +34,11 @@ TSAN_FILTER='DesignService|ServiceProtocol|GlobalMetrics|Telemetry|FlightRecorde
 # registry's suites ride along: a closed or refused session is destroyed off
 # the registry mutex while workers may still hold it.  So does name
 # resolution: the library's name index holds raw cell pointers that rollback
-# and teardown free, and the path walk slices the caller's string.
-ASAN_FILTER='Journal|Crc32|FsyncPolicy|RecordCodec|Checkpoint|AtomicWrite|Persistence|IoTest|IoSeeds|ExampleDesigns|Fd|GroupCommit|Segment|Trace|Workload|Framed|LibraryReaderFuzz|ShardStress|ShardRecovery|DesignService|NameResolution'
+# and teardown free, and the path walk slices the caller's string.  So do
+# the library reader's scanner, which reads each line as a view of the
+# caller's buffer (WordCursor, GoldenSave), and the engine's constraint
+# slots, which destroying a constraint empties and compacts (EditingTest).
+ASAN_FILTER='Journal|Crc32|FsyncPolicy|RecordCodec|Checkpoint|AtomicWrite|Persistence|IoTest|IoSeeds|ExampleDesigns|Fd|GroupCommit|Segment|Trace|Workload|Framed|LibraryReaderFuzz|ShardStress|ShardRecovery|DesignService|NameResolution|WordCursor|GoldenSave|EditingTest'
 # The hottest benchmarks, smoked by --bench.
 BENCH_SMOKE="bench_fig4_5_simple_network bench_agenda_scheduling bench_design_service bench_persistence bench_latency_under_load bench_fd_selection bench_workload_replay"
 RUN_PLAIN=1
