@@ -63,11 +63,6 @@ Side side_from_normal(core::Point n) {
   return Side::kBottom;
 }
 
-Justification implicit_just(StemVariable& source) {
-  return Justification::propagated(source,
-                                   core::DependencyRecord::single(source));
-}
-
 }  // namespace
 
 // ---- IoSignal ----------------------------------------------------------------
@@ -98,11 +93,7 @@ CellInstance::CellInstance(CellClass& cls, CellClass* parent_cell,
   bbox_ = std::make_unique<InstanceBBoxVar>(
       cls_->context(), *this, cls_->bounding_box(), qualified_name());
   // Default the placement box from the class box when already known.
-  const Value& cb = cls_->bounding_box().value();
-  if (cb.is_rect()) {
-    bbox_->set(Value(transform_.apply(cb.as_rect())),
-               implicit_just(cls_->bounding_box()));
-  }
+  bbox_->assign_implied_value();
 }
 
 CellInstance::~CellInstance() { cls_->unregister_instance(*this); }
@@ -117,10 +108,9 @@ void CellInstance::set_transform(Transform t) {
   if (t == transform_) return;
   transform_ = t;
   // Re-derive the default placement box unless the designer pinned one.
-  const Value& cb = cls_->bounding_box().value();
-  if (cb.is_rect() && !bbox_->last_set_by().is_user()) {
-    bbox_->set(Value(transform_.apply(cb.as_rect())),
-               implicit_just(cls_->bounding_box()));
+  Value placed = bbox_->implied_value();
+  if (placed.is_rect() && !bbox_->last_set_by().is_user()) {
+    bbox_->set(std::move(placed), bbox_->implied_justification());
   } else if (parent_cell_ != nullptr) {
     parent_cell_->structure_edited();
   }
@@ -138,9 +128,7 @@ InstanceBitWidthVar& CellInstance::bit_width(const std::string& signal) {
       &sig->bit_width());
   InstanceBitWidthVar& ref = *var;
   bit_widths_.emplace(signal, std::move(var));
-  if (sig->bit_width().value().is_int()) {
-    ref.set(sig->bit_width().value(), implicit_just(sig->bit_width()));
-  }
+  ref.assign_implied_value();
   return ref;
 }
 
@@ -175,9 +163,7 @@ InstanceParamVar& CellInstance::parameter(const std::string& name) {
       cls_->context(), qualified_name(), "param(" + name + ")", cp);
   InstanceParamVar& ref = *var;
   params_.emplace(name, std::move(var));
-  if (cp->has_value()) {
-    ref.set(cp->value(), implicit_just(*cp));  // class default propagates
-  }
+  ref.assign_implied_value();  // class default propagates
   return ref;
 }
 
@@ -198,10 +184,7 @@ InstanceDelayVar& CellInstance::delay(const std::string& from,
                                                 qualified_name());
   InstanceDelayVar& ref = *var;
   delays_.emplace(std::make_pair(from, to), std::move(var));
-  if (cd->value().is_number()) {
-    ref.set(Value(cd->value().as_number() + ref.rc_adjustment()),
-            implicit_just(*cd));
-  }
+  ref.assign_implied_value();
   return ref;
 }
 
@@ -623,9 +606,7 @@ void CellClass::build_delay_networks() {
   for (const auto& sub : subcells_) {
     for (ClassDelayVar* cd : sub->cls().delay_variables()) {
       if (!cd->value().is_number()) continue;
-      InstanceDelayVar& idv = sub->delay(cd->from(), cd->to());
-      const Value adjusted(cd->value().as_number() + idv.rc_adjustment());
-      if (idv.value() != adjusted) idv.set(adjusted, implicit_just(*cd));
+      sub->delay(cd->from(), cd->to()).assign_implied_value();
     }
   }
 
@@ -740,14 +721,7 @@ core::Value CellClass::adjusted_delay_for(const std::string& from,
   if (cd == nullptr) return Value::nil();
   const Value& v = cd->demand();
   if (!v.is_number()) return Value::nil();
-  double adj = 0.0;
-  if (const IoSignal* to_sig = find_signal(to)) {
-    if (const Net* out_net = context_inst.net_for(to)) {
-      adj += to_sig->output_resistance() *
-             out_net->total_load_capacitance(&context_inst, to);
-    }
-  }
-  return Value(v.as_number() + adj);
+  return Value(v.as_number() + rc_delay(find_signal(to), context_inst));
 }
 
 bool CellClass::valid_delays_for(CellInstance& inst) {

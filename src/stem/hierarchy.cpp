@@ -53,8 +53,11 @@ void StemVariable::consequences_of(const Variable& var,
     consequences(out);
   }
   // And duals set through this variable acting as the constraint.
-  for (Variable* d : duals()) {
-    if (d == &var) continue;
+  std::vector<core::Propagatable*> duals;
+  append_implicit_constraints(duals);
+  for (core::Propagatable* p : duals) {
+    auto* d = dynamic_cast<Variable*>(p);
+    if (d == nullptr || d == &var) continue;
     if (d->last_set_by().constraint() == this &&
         test_membership(var, d->last_set_by().record())) {
       d->consequences(out);
@@ -73,13 +76,6 @@ const Value& StemVariable::demand() {
 }
 
 // ---- ClassVar ----------------------------------------------------------------
-
-std::vector<Variable*> ClassVar::duals() const {
-  std::vector<Variable*> out;
-  out.reserve(instances_.size());
-  for (InstanceVar* v : instances_) out.push_back(v);
-  return out;
-}
 
 void ClassVar::append_implicit_constraints(
     std::vector<core::Propagatable*>& out) const {
@@ -112,14 +108,29 @@ InstanceVar::~InstanceVar() {
   if (dual_ != nullptr) dual_->unregister_dual(*this);
 }
 
-std::vector<Variable*> InstanceVar::duals() const {
-  if (dual_ == nullptr) return {};
-  return {dual_};
-}
-
 void InstanceVar::append_implicit_constraints(
     std::vector<core::Propagatable*>& out) const {
   if (dual_ != nullptr) out.push_back(dual_);
+}
+
+core::Justification InstanceVar::implied_justification() const {
+  return core::Justification::propagated(
+      *dual_, core::DependencyRecord::single(*dual_));
+}
+
+Status InstanceVar::immediate_inference_by_changing(Variable& changed) {
+  if (&changed != dual_ || keeps_own_value()) return Status::ok();
+  Value implied = implied_value();
+  if (implied.is_nil()) return Status::ok();
+  return set_from_constraint(std::move(implied), *dual_,
+                             implied_justification());
+}
+
+Status InstanceVar::assign_implied_value() {
+  if (keeps_own_value()) return Status::ok();
+  Value implied = implied_value();
+  if (implied.is_nil() || implied == value()) return Status::ok();
+  return set(std::move(implied), implied_justification());
 }
 
 }  // namespace stemcp::env

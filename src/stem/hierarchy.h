@@ -47,9 +47,6 @@ class StemVariable : public core::Variable, public core::Propagatable {
   void consequences_of(const core::Variable& var,
                        core::DependencyTrace& out) const override;
 
-  /// The dual variables on the other side of the class/instance link.
-  virtual std::vector<core::Variable*> duals() const { return {}; }
-
   // ---- PropertyVariable machinery (thesis Fig 6.1) -----------------------
   /// Recalculation action invoked by demand() when the value is nil.  The
   /// action is expected to assign the variable (typically with
@@ -76,7 +73,6 @@ class ClassVar : public StemVariable {
  public:
   using StemVariable::StemVariable;
 
-  std::vector<core::Variable*> duals() const override;
   void append_implicit_constraints(
       std::vector<core::Propagatable*>& out) const override;
 
@@ -91,7 +87,9 @@ class ClassVar : public StemVariable {
 };
 
 /// Instance-side dual variable ("InstanceInstVar").  Automatically
-/// registers with its class-side dual for its lifetime.
+/// registers with its class-side dual for its lifetime.  Each kind states
+/// the class-to-instance rule once: the value its class dual implies for it
+/// and whether it keeps its own value against that.
 class InstanceVar : public StemVariable {
  public:
   InstanceVar(core::PropagationContext& ctx, std::string parent_name,
@@ -99,9 +97,23 @@ class InstanceVar : public StemVariable {
   ~InstanceVar() override;
 
   ClassVar* class_dual() const { return dual_; }
-  std::vector<core::Variable*> duals() const override;
   void append_implicit_constraints(
       std::vector<core::Propagatable*>& out) const override;
+
+  /// Nil when the class dual implies nothing, as by default (pure
+  /// consistency checking).
+  virtual core::Value implied_value() const { return core::Value::nil(); }
+  virtual bool keeps_own_value() const { return false; }
+  /// #PROPAGATED, with the class dual as its source.
+  core::Justification implied_justification() const;
+
+  /// A class-dual change pushes the implied value (thesis Fig 5.3).
+  core::Status immediate_inference_by_changing(core::Variable& changed)
+      override;
+  /// Seeding, where the owner creates or refreshes this variable: assigns
+  /// the implied value through set() unless this variable keeps its own,
+  /// nothing is implied, or it already holds that value.
+  core::Status assign_implied_value();
 
  private:
   ClassVar* dual_;

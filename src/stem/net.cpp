@@ -47,24 +47,7 @@ Status Net::connect(CellInstance& inst, const std::string& signal) {
     throw std::out_of_range("net " + qualified_name() + ": no signal '" +
                             signal + "' on class " + inst.cls().name());
   }
-  if (connects(inst, signal)) return Status::ok();
-  connections_.push_back({&inst, signal});
-  inst.note_connection(signal, this);
-
-  // Instantiate the implied signal typing constraints (thesis §7.1):
-  // equality over bit widths, compatibility over data / electrical types.
-  Status worst = Status::ok();
-  if (width_eq_->add_argument(inst.bit_width(signal)).is_violation()) {
-    worst = Status::violation();
-  }
-  if (data_compat_->add_argument(sig->data_type()).is_violation()) {
-    worst = Status::violation();
-  }
-  if (elec_compat_->add_argument(sig->electrical_type()).is_violation()) {
-    worst = Status::violation();
-  }
-  parent_->structure_edited();
-  return worst;
+  return join({&inst, signal, sig}, inst.net_for(signal));
 }
 
 Status Net::connect_io(const std::string& io_signal) {
@@ -73,81 +56,79 @@ Status Net::connect_io(const std::string& io_signal) {
     throw std::out_of_range("net " + qualified_name() + ": no io-signal '" +
                             io_signal + "' on " + parent_->name());
   }
-  const NetConnection conn{nullptr, io_signal};
-  if (std::find(connections_.begin(), connections_.end(), conn) !=
-      connections_.end()) {
-    return Status::ok();
+  // Not `sig->internal_net()`: an inherited declaration is shared with the
+  // superclass and its other subclasses, so only this cell's nets can tell.
+  const Net* current = nullptr;
+  for (const auto& net : parent_->nets()) {
+    if (net->find(nullptr, io_signal) != net->connections_.end()) {
+      current = net.get();
+    }
   }
-  connections_.push_back(conn);
-  sig->internal_net_ = this;
-
-  Status worst = Status::ok();
-  if (width_eq_->add_argument(sig->bit_width()).is_violation()) {
-    worst = Status::violation();
-  }
-  if (data_compat_->add_argument(sig->data_type()).is_violation()) {
-    worst = Status::violation();
-  }
-  if (elec_compat_->add_argument(sig->electrical_type()).is_violation()) {
-    worst = Status::violation();
-  }
-  parent_->structure_edited();
-  return worst;
+  return join({nullptr, io_signal, sig}, current);
 }
 
-void Net::disconnect(CellInstance& inst, const std::string& signal) {
-  const NetConnection conn{&inst, signal};
-  auto it = std::find(connections_.begin(), connections_.end(), conn);
-  if (it == connections_.end()) return;
-  connections_.erase(it);
-  inst.note_connection(signal, nullptr);
+Status Net::join(NetConnection pin, const Net* current) {
+  if (current == this) return Status::ok();
+  if (current != nullptr) {
+    throw std::invalid_argument(
+        "net " + qualified_name() + ": " +
+        (pin.instance != nullptr ? "pin " + pin.instance->name() + ' '
+                                 : std::string("io ")) +
+        pin.signal + " is already on net " + current->qualified_name());
+  }
+  connections_.push_back(pin);
+  core::Variable* width = &pin.declaration->bit_width();
+  if (pin.instance != nullptr) {
+    pin.instance->note_connection(pin.signal, this);
+    width = &pin.instance->bit_width(pin.signal);
+  } else {
+    pin.declaration->internal_net_ = this;
+  }
 
-  width_eq_->remove_argument(inst.bit_width(signal));
+  // Instantiate the implied signal typing constraints (thesis §7.1):
+  // equality over bit widths, compatibility over data / electrical types.
+  bool violated = width_eq_->add_argument(*width).is_violation();
+  violated |= data_compat_->add_argument(pin.declaration->data_type())
+                  .is_violation();
+  violated |= elec_compat_->add_argument(pin.declaration->electrical_type())
+                  .is_violation();
+  parent_->structure_edited();
+  return violated ? Status::violation() : Status::ok();
+}
+
+void Net::leave(const CellInstance* inst, const std::string& signal) {
+  const auto it = find(inst, signal);
+  if (it == connections_.end()) return;
+  const NetConnection pin = *it;
+  connections_.erase(it);
+  if (pin.instance != nullptr) {
+    pin.instance->note_connection(pin.signal, nullptr);
+    width_eq_->remove_argument(pin.instance->bit_width(pin.signal));
+  } else {
+    if (pin.declaration->internal_net_ == this) {
+      pin.declaration->internal_net_ = nullptr;
+    }
+    width_eq_->remove_argument(pin.declaration->bit_width());
+  }
   // Class-level type variables are shared by all instances of the class:
-  // only remove them when no remaining connection resolves to the same
-  // class signal.
-  if (IoSignal* sig = inst.cls().find_signal(signal)) {
-    if (!class_signal_still_referenced(*sig)) {
-      data_compat_->remove_argument(sig->data_type());
-      elec_compat_->remove_argument(sig->electrical_type());
-    }
+  // only remove them when no remaining pin joined through the same
+  // declaration.
+  if (std::none_of(connections_.begin(), connections_.end(),
+                   [&](const NetConnection& c) {
+                     return c.declaration == pin.declaration;
+                   })) {
+    data_compat_->remove_argument(pin.declaration->data_type());
+    elec_compat_->remove_argument(pin.declaration->electrical_type());
   }
   parent_->structure_edited();
 }
 
-void Net::disconnect_io(const std::string& io_signal) {
-  const NetConnection conn{nullptr, io_signal};
-  auto it = std::find(connections_.begin(), connections_.end(), conn);
-  if (it == connections_.end()) return;
-  connections_.erase(it);
-  IoSignal* sig = parent_->find_signal(io_signal);
-  if (sig != nullptr) {
-    if (sig->internal_net_ == this) sig->internal_net_ = nullptr;
-    width_eq_->remove_argument(sig->bit_width());
-    if (!class_signal_still_referenced(*sig)) {
-      data_compat_->remove_argument(sig->data_type());
-      elec_compat_->remove_argument(sig->electrical_type());
-    }
-  }
-  parent_->structure_edited();
-}
-
-bool Net::connects(const CellInstance& inst, const std::string& signal) const {
-  const NetConnection conn{const_cast<CellInstance*>(&inst), signal};
-  return std::find(connections_.begin(), connections_.end(), conn) !=
-         connections_.end();
-}
-
-const IoSignal* Net::resolve(const NetConnection& c) const {
-  if (c.instance != nullptr) return c.instance->cls().find_signal(c.signal);
-  return parent_->find_signal(c.signal);
-}
-
-bool Net::class_signal_still_referenced(const IoSignal& sig) const {
-  for (const NetConnection& c : connections_) {
-    if (resolve(c) == &sig) return true;
-  }
-  return false;
+std::vector<NetConnection>::const_iterator Net::find(
+    const CellInstance* inst, const std::string& signal) const {
+  return std::find_if(connections_.begin(), connections_.end(),
+                      [&](const NetConnection& c) {
+                        return c.instance == inst && c.signal == signal;
+                      });
 }
 
 double Net::wire_capacitance() const {
@@ -174,8 +155,7 @@ double Net::total_load_capacitance(const CellInstance* exclude_inst,
   double total = wire_capacitance();
   for (const NetConnection& c : connections_) {
     if (c.instance == exclude_inst && c.signal == exclude_signal) continue;
-    const IoSignal* sig = resolve(c);
-    if (sig == nullptr) continue;
+    const IoSignal* sig = c.declaration;
     if (c.instance != nullptr) {
       // Subcell inputs (and bidirectionals) load the net.
       if (!sig->is_output()) total += sig->load_capacitance();
@@ -189,8 +169,7 @@ double Net::total_load_capacitance(const CellInstance* exclude_inst,
 
 double Net::driver_resistance() const {
   for (const NetConnection& c : connections_) {
-    const IoSignal* sig = resolve(c);
-    if (sig == nullptr) continue;
+    const IoSignal* sig = c.declaration;
     if (c.instance != nullptr && sig->is_output()) {
       return sig->output_resistance();
     }
@@ -201,6 +180,14 @@ double Net::driver_resistance() const {
     }
   }
   return 0.0;
+}
+
+double rc_delay(const IoSignal* driver, const CellInstance& context) {
+  if (driver == nullptr) return 0.0;
+  const Net* out_net = context.net_for(driver->name());
+  if (out_net == nullptr) return 0.0;
+  return driver->output_resistance() *
+         out_net->total_load_capacitance(&context, driver->name());
 }
 
 }  // namespace stemcp::env

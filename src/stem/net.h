@@ -20,8 +20,9 @@ class IoSignal;
 struct NetConnection {
   CellInstance* instance = nullptr;  ///< nullptr = the parent cell's io
   std::string signal;
-
-  friend bool operator==(const NetConnection&, const NetConnection&) = default;
+  /// The declaration the pin joined through, resolved once by the join and
+  /// read until the pin is re-wired, even if a subclass shadows the name.
+  IoSignal* declaration = nullptr;
 };
 
 class Net {
@@ -37,17 +38,24 @@ class Net {
   std::string qualified_name() const;
 
   /// Connect a subcell instance signal to this net; instantiates the signal
-  /// typing constraints.
+  /// typing constraints.  A pin joins at most one net: one already on
+  /// another net of the cell is refused (std::invalid_argument), and a
+  /// second connect to this net changes nothing.
   core::Status connect(CellInstance& inst, const std::string& signal);
-  /// Connect the parent cell's own io-signal to this net.
+  /// Connect the parent cell's own io-signal to this net, under the same
+  /// one-net rule.
   core::Status connect_io(const std::string& io_signal);
-  void disconnect(CellInstance& inst, const std::string& signal);
-  void disconnect_io(const std::string& io_signal);
+  void disconnect(CellInstance& inst, const std::string& signal) {
+    leave(&inst, signal);
+  }
+  void disconnect_io(const std::string& io_signal) { leave(nullptr, io_signal); }
 
   const std::vector<NetConnection>& connections() const {
     return connections_;
   }
-  bool connects(const CellInstance& inst, const std::string& signal) const;
+  bool connects(const CellInstance& inst, const std::string& signal) const {
+    return find(&inst, signal) != connections_.end();
+  }
 
   // Net-level typing variables.
   StemVariable& bit_width() { return *bit_width_; }
@@ -82,10 +90,14 @@ class Net {
   double driver_resistance() const;
 
  private:
-  const IoSignal* resolve(const NetConnection& c) const;
-  /// True if another connection on this net resolves to the same class-level
-  /// signal declaration (shared type variables must stay in the constraint).
-  bool class_signal_still_referenced(const IoSignal& sig) const;
+  /// The one join: records the pin unless `current`, the net it is on now,
+  /// forbids it, and adds its width and its declaration's type variables to
+  /// the net's three constraints.  Returns the worst status.
+  core::Status join(NetConnection pin, const Net* current);
+  /// The one leave: drops the pin and removes what its join added.
+  void leave(const CellInstance* inst, const std::string& signal);
+  std::vector<NetConnection>::const_iterator find(
+      const CellInstance* inst, const std::string& signal) const;
 
   CellClass* parent_;
   std::string name_;
@@ -98,5 +110,11 @@ class Net {
   CompatibleConstraint* elec_compat_;
   double cap_per_unit_ = 0.0;
 };
+
+/// RC delay model (thesis Fig 7.10): the delay `driver` pays into the
+/// context of `context`, its output resistance times the load on the net its
+/// pin drives (booked at the driver only, so chains count each hop once); 0
+/// when `driver` is null or its pin is unconnected.
+double rc_delay(const IoSignal* driver, const CellInstance& context);
 
 }  // namespace stemcp::env

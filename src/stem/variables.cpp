@@ -6,22 +6,9 @@
 namespace stemcp::env {
 
 using core::Justification;
-using core::Rect;
 using core::Status;
 using core::Value;
 using core::Variable;
-
-namespace {
-
-/// Dependency record + justification for a hierarchical (implicit) link:
-/// the source "constraint" is the dual variable whose change is being
-/// reflected.
-Justification implicit_justification(StemVariable& source_dual) {
-  return Justification::propagated(
-      source_dual, core::DependencyRecord::single(source_dual));
-}
-
-}  // namespace
 
 // ---- ClassBBoxVar -------------------------------------------------------------
 
@@ -45,23 +32,18 @@ InstanceBBoxVar::InstanceBBoxVar(core::PropagationContext& ctx,
                                  const std::string& parent_name)
     : InstanceVar(ctx, parent_name, "boundingBox", &dual), owner_(&owner) {}
 
-Status InstanceBBoxVar::immediate_inference_by_changing(Variable& changed) {
-  // Thesis Fig 7.7: if I hold a #USER placement, keep it (the final check
-  // verifies it still fits); otherwise default to the transformed class box.
-  if (&changed != class_dual()) return Status::ok();
-  if (has_value() && last_set_by().is_user()) return Status::ok();
-  if (!changed.value().is_rect()) return Status::ok();  // class box erased
-  const Rect placed = owner_->transform().apply(changed.value().as_rect());
-  return set_from_constraint(Value(placed), *class_dual(),
-                             implicit_justification(*class_dual()));
+Value InstanceBBoxVar::implied_value() const {
+  // Thesis Fig 7.7: default to the transformed class box.
+  const Value& cb = class_dual()->value();
+  if (!cb.is_rect()) return Value::nil();  // class box erased
+  return Value(owner_->transform().apply(cb.as_rect()));
 }
 
 bool InstanceBBoxVar::placement_fits() const {
   if (!value().is_rect()) return true;  // unplaced: nothing to violate
-  const Variable* cb = class_dual();
-  if (cb == nullptr || !cb->value().is_rect()) return true;
-  const Rect required = owner_->transform().apply(cb->value().as_rect());
-  return value().as_rect().extent_covers(required);
+  const Value required = implied_value();
+  if (!required.is_rect()) return true;
+  return value().as_rect().extent_covers(required.as_rect());
 }
 
 bool InstanceBBoxVar::is_satisfied() const { return placement_fits(); }
@@ -87,14 +69,6 @@ bool ClassBitWidthVar::is_satisfied() const {
 
 // ---- InstanceBitWidthVar ----------------------------------------------------------
 
-Status InstanceBitWidthVar::immediate_inference_by_changing(Variable& changed) {
-  if (&changed != class_dual()) return Status::ok();
-  if (!changed.value().is_int()) return Status::ok();
-  if (has_value() && last_set_by().is_user()) return Status::ok();
-  return set_from_constraint(changed.value(), *class_dual(),
-                             implicit_justification(*class_dual()));
-}
-
 bool InstanceBitWidthVar::is_satisfied() const {
   const Variable* cb = class_dual();
   if (cb == nullptr || !cb->value().is_int() || !value().is_int()) return true;
@@ -117,15 +91,6 @@ bool ClassParamVar::is_satisfied() const {
 }
 
 // ---- InstanceParamVar --------------------------------------------------------------
-
-Status InstanceParamVar::immediate_inference_by_changing(Variable& changed) {
-  // Default values propagate from class parameter variables to unset
-  // instance parameters (thesis §5.1.1); nothing else flows.
-  if (&changed != class_dual()) return Status::ok();
-  if (changed.value().is_nil() || has_value()) return Status::ok();
-  return set_from_constraint(changed.value(), *class_dual(),
-                             implicit_justification(*class_dual()));
-}
 
 bool InstanceParamVar::is_satisfied() const {
   const auto* cp = static_cast<const ClassParamVar*>(class_dual());
@@ -157,25 +122,14 @@ ClassDelayVar& InstanceDelayVar::class_delay() const {
 }
 
 double InstanceDelayVar::rc_adjustment() const {
-  // RC delay model (thesis Fig 7.10): the class delay is adjusted by the
-  // transient delay this instance's driver pays into its context — its
-  // output resistance times the total load capacitance on the output net.
-  // The charge is booked at the driver only, so chains count each hop once.
   const ClassDelayVar& cd = class_delay();
-  const IoSignal* to_sig = cd.owner().find_signal(cd.to());
-  if (to_sig == nullptr) return 0.0;
-  const Net* out_net = owner_->net_for(cd.to());
-  if (out_net == nullptr) return 0.0;
-  return to_sig->output_resistance() *
-         out_net->total_load_capacitance(owner_, cd.to());
+  return rc_delay(cd.owner().find_signal(cd.to()), *owner_);
 }
 
-Status InstanceDelayVar::immediate_inference_by_changing(Variable& changed) {
-  if (&changed != class_dual()) return Status::ok();
-  if (!changed.value().is_number()) return Status::ok();
-  const double adjusted = changed.value().as_number() + rc_adjustment();
-  return set_from_constraint(Value(adjusted), *class_dual(),
-                             implicit_justification(*class_dual()));
+Value InstanceDelayVar::implied_value() const {
+  const Value& cd = class_dual()->value();
+  if (!cd.is_number()) return Value::nil();
+  return Value(cd.as_number() + rc_adjustment());
 }
 
 }  // namespace stemcp::env

@@ -41,8 +41,12 @@ class InstanceBBoxVar : public InstanceVar {
 
   CellInstance& owner() const { return *owner_; }
 
-  core::Status immediate_inference_by_changing(core::Variable& changed)
-      override;
+  /// The class box under this placement's transform.
+  core::Value implied_value() const override;
+  /// A #USER placement is kept; the final check verifies it still fits.
+  bool keeps_own_value() const override {
+    return has_value() && last_set_by().is_user();
+  }
   bool is_satisfied() const override;
   /// True when this placement can contain the transformed class box.
   bool placement_fits() const;
@@ -69,8 +73,15 @@ class InstanceBitWidthVar : public InstanceVar {
  public:
   using InstanceVar::InstanceVar;
 
-  core::Status immediate_inference_by_changing(core::Variable& changed)
-      override;
+  /// The class width, when it is an integer.
+  core::Value implied_value() const override {
+    const core::Value& cw = class_dual()->value();
+    return cw.is_int() ? cw : core::Value::nil();
+  }
+  /// A #USER width is kept.
+  bool keeps_own_value() const override {
+    return has_value() && last_set_by().is_user();
+  }
   bool is_satisfied() const override;
 };
 
@@ -100,8 +111,10 @@ class InstanceParamVar : public InstanceVar {
  public:
   using InstanceVar::InstanceVar;
 
-  core::Status immediate_inference_by_changing(core::Variable& changed)
-      override;
+  /// The class value: the default of unset instances (thesis §5.1.1).
+  core::Value implied_value() const override { return class_dual()->value(); }
+  /// Any value is kept: only an unset instance takes the default.
+  bool keeps_own_value() const override { return has_value(); }
   bool is_satisfied() const override;
 };
 
@@ -128,7 +141,7 @@ class ClassDelayVar : public ClassVar {
 /// Instance-side delay: the class delay adjusted to the instance's context
 /// — the output resistance driving its input net and the total load
 /// capacitance on its output net (thesis §7.3).  Instance delays never
-/// propagate back to the class delay.
+/// propagate back to the class delay, and never keep their own value.
 class InstanceDelayVar : public InstanceVar {
  public:
   InstanceDelayVar(core::PropagationContext& ctx, CellInstance& owner,
@@ -137,8 +150,8 @@ class InstanceDelayVar : public InstanceVar {
   CellInstance& owner() const { return *owner_; }
   ClassDelayVar& class_delay() const;
 
-  core::Status immediate_inference_by_changing(core::Variable& changed)
-      override;
+  /// The class delay plus the RC term, when the class delay is a number.
+  core::Value implied_value() const override;
 
   /// RC adjustment added to the class delay for this instance's context.
   double rc_adjustment() const;

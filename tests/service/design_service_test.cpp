@@ -12,38 +12,13 @@
 #include <vector>
 
 #include "core/core.h"
+#include "pipeline_design.h"
 #include "stem/stem.h"
 
 namespace stemcp::service {
 namespace {
 
 constexpr double kNs = 1e-9;
-
-// A two-stage pipeline with a 160 ns budget on the composite delay; the
-// same shape as the thesis Fig 5.2 accumulator.
-const char* kPipeline = R"(cell STAGE
-  signal in input
-  signal out output
-  delay in out
-end
-cell PIPE
-  signal in input
-  signal out output
-  delay in out
-    spec <= 160e-9
-  subcell s0 STAGE R0 0 0
-  subcell s1 STAGE R0 10 0
-  net n_in
-    io in
-    conn s0 in
-  net n_mid
-    conn s0 out
-    conn s1 in
-  net n_out
-    conn s1 out
-    io out
-end
-)";
 
 Request make(RequestType t, const std::string& session, std::string text = {}) {
   Request r;

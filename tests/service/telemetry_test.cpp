@@ -16,34 +16,11 @@
 #include <vector>
 
 #include "persist/journal.h"
+#include "pipeline_design.h"
 #include "service/design_service.h"
 
 namespace stemcp::service {
 namespace {
-
-const char* kPipeline = R"(cell STAGE
-  signal in input
-  signal out output
-  delay in out
-end
-cell PIPE
-  signal in input
-  signal out output
-  delay in out
-    spec <= 160e-9
-  subcell s0 STAGE R0 0 0
-  subcell s1 STAGE R0 10 0
-  net n_in
-    io in
-    conn s0 in
-  net n_mid
-    conn s0 out
-    conn s1 in
-  net n_out
-    conn s1 out
-    io out
-end
-)";
 
 Request make(RequestType t, const std::string& session, std::string text = {}) {
   Request r;

@@ -374,6 +374,35 @@ TEST(IoTest, ConnectToUnknownIoSignalErrorNamesItsLine) {
                     "net T:n: no io-signal 'nope' on T");
 }
 
+TEST(IoTest, PinOnTwoNetsErrorNamesItsLineAndRollsBack) {
+  expect_line_error(
+      "cell L\n  signal a input\nend\n"
+      "cell T\n  subcell u L R0 0 0\n  net n1\n    conn u a\n"
+      "  net n2\n    conn u a\nend\n",
+      9, "net T:n2: pin u a is already on net T:n1");
+  expect_line_error(
+      "cell T\n  signal in input\n  net n1\n    io in\n  net n2\n    io in\n"
+      "end\n",
+      6, "net T:n2: io in is already on net T:n1");
+  // Appended to a populated library, the refused text leaves it as it was.
+  Library lib;
+  build_accumulator(lib);
+  const std::string before = LibraryWriter::to_string(lib);
+  const std::size_t constraints_before = lib.context().constraint_count();
+  EXPECT_THROW(LibraryReader::read_string(lib,
+                                          "cell W\n"
+                                          "  subcell r REGISTER R0 0 0\n"
+                                          "  net a\n"
+                                          "    conn r in\n"
+                                          "  net b\n"
+                                          "    conn r in\n"
+                                          "end\n"),
+               std::runtime_error);
+  EXPECT_EQ(lib.find("W"), nullptr);
+  EXPECT_EQ(lib.context().constraint_count(), constraints_before);
+  EXPECT_EQ(LibraryWriter::to_string(lib), before);
+}
+
 TEST(IoTest, DuplicateParameterErrorNamesItsLine) {
   expect_line_error("cell A\n  param w 1 8\n  param w 1 8\nend\n", 3,
                     "parameter 'w' already declared on A");

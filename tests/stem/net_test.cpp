@@ -2,6 +2,9 @@
 // edge cases not covered by the signal-checking suite.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "stem/stem.h"
 
 namespace stemcp::env {
@@ -140,6 +143,74 @@ TEST_F(NetTest, InheritedSignalsConnectable) {
   auto& net = top.add_net("n");
   EXPECT_TRUE(net.connect(inst, "p")) << "signal resolved via superclass";
   EXPECT_EQ(inst.net_for("p"), &net);
+}
+
+/// The message a refused connect throws, or "" when it did not throw.
+template <typename Connect>
+std::string refusal(Connect&& connect) {
+  try {
+    connect();
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST_F(NetTest, PinJoinsAtMostOneNet) {
+  auto& leaf = lib.define_cell("LEAF");
+  leaf.declare_signal("p", SignalDirection::kInput);
+  auto& top = lib.define_cell("TOP");
+  auto& inst = top.add_subcell(leaf, "i");
+  auto& n1 = top.add_net("n1");
+  auto& n2 = top.add_net("n2");
+  EXPECT_TRUE(n1.connect(inst, "p"));
+  EXPECT_EQ(refusal([&] { n2.connect(inst, "p"); }),
+            "net TOP:n2: pin i p is already on net TOP:n1");
+  EXPECT_TRUE(n2.connections().empty());
+  EXPECT_EQ(n2.width_constraint().arguments().size(), 1u)
+      << "only the net's own width";
+  EXPECT_EQ(inst.net_for("p"), &n1);
+  n1.disconnect(inst, "p");
+  EXPECT_TRUE(n2.connect(inst, "p")) << "a pin that left may join another";
+  EXPECT_EQ(inst.net_for("p"), &n2);
+}
+
+TEST_F(NetTest, IoSignalJoinsAtMostOneNetOfItsCell) {
+  auto& top = lib.define_cell("TOP");
+  top.declare_signal("in", SignalDirection::kInput);
+  auto& n1 = top.add_net("n1");
+  auto& n2 = top.add_net("n2");
+  EXPECT_TRUE(n1.connect_io("in"));
+  EXPECT_TRUE(n1.connect_io("in")) << "a second connect to the same net";
+  EXPECT_EQ(refusal([&] { n2.connect_io("in"); }),
+            "net TOP:n2: io in is already on net TOP:n1");
+  EXPECT_TRUE(n2.connections().empty());
+  EXPECT_EQ(top.signal("in").internal_net(), &n1);
+  // The rule is per cell: a subclass's own net may take the inherited io.
+  auto& sub = lib.define_cell("SUB", &top);
+  EXPECT_TRUE(sub.add_net("n").connect_io("in"));
+}
+
+TEST_F(NetTest, ShadowedSignalKeepsTheDeclarationItJoinedThrough) {
+  auto& base = lib.define_cell("BASE");
+  base.declare_signal("p", SignalDirection::kInput)
+      .set_load_capacitance(1e-14);
+  auto& sub = lib.define_cell("SUB", &base);
+  auto& top = lib.define_cell("TOP");
+  auto& inst = top.add_subcell(sub, "i");
+  auto& net = top.add_net("n");
+  EXPECT_TRUE(net.connect(inst, "p"));
+  // SUB now declares its own p; the pin still joined through BASE.p.
+  sub.declare_signal("p", SignalDirection::kInput)
+      .set_load_capacitance(5e-14);
+  EXPECT_DOUBLE_EQ(net.total_load_capacitance(), 1e-14)
+      << "the load of the declaration the typing constraints hold";
+  net.disconnect(inst, "p");
+  EXPECT_EQ(net.data_constraint().arguments().size(), 1u)
+      << "only the net's own type is left";
+  EXPECT_EQ(net.electrical_constraint().arguments().size(), 1u);
+  EXPECT_TRUE(base.signal("p").data_type().constraints().empty());
+  EXPECT_TRUE(base.signal("p").electrical_type().constraints().empty());
 }
 
 }  // namespace

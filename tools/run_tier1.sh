@@ -38,7 +38,11 @@ TSAN_FILTER='DesignService|ServiceProtocol|GlobalMetrics|Telemetry|FlightRecorde
 # the library reader's scanner, which reads each line as a view of the
 # caller's buffer (WordCursor, GoldenSave), and the engine's constraint
 # slots, which destroying a constraint empties and compacts (EditingTest).
-ASAN_FILTER='Journal|Crc32|FsyncPolicy|RecordCodec|Checkpoint|AtomicWrite|Persistence|IoTest|IoSeeds|ExampleDesigns|Fd|GroupCommit|Segment|Trace|Workload|Framed|LibraryReaderFuzz|ShardStress|ShardRecovery|DesignService|NameResolution|WordCursor|GoldenSave|EditingTest'
+# So do the suites of nets and instance duals (NetTest, DelayTest, BBoxTest,
+# HierarchyTest, CellTest, SignalCheckTest, ReplaceSubcell, GoldenVars):
+# each net connection holds a pointer to the signal declaration it joined
+# through, and rollback and teardown free cells and nets.
+ASAN_FILTER='Journal|Crc32|FsyncPolicy|RecordCodec|Checkpoint|AtomicWrite|Persistence|IoTest|IoSeeds|ExampleDesigns|Fd|GroupCommit|Segment|Trace|Workload|Framed|LibraryReaderFuzz|ShardStress|ShardRecovery|DesignService|NameResolution|WordCursor|GoldenSave|EditingTest|NetTest|DelayTest|BBoxTest|HierarchyTest|CellTest|SignalCheckTest|ReplaceSubcell|GoldenVars'
 # The hottest benchmarks, smoked by --bench.
 BENCH_SMOKE="bench_fig4_5_simple_network bench_agenda_scheduling bench_design_service bench_persistence bench_latency_under_load bench_fd_selection bench_workload_replay"
 RUN_PLAIN=1
